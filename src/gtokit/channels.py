@@ -10,6 +10,7 @@ brute-force alternative (explicit bath modes, global passive transformation,
 partial trace) used as an oracle in the tests.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,8 +258,20 @@ def gto_to_channel(spec: GTOSpec) -> GaussianChannel:
     return GaussianChannel(X=S @ X_nm @ S_inv, Y=S @ Y_nm @ S.T, d=np.zeros(dim))
 
 
+def _act(X: np.ndarray, Y: np.ndarray, d: np.ndarray, cm: np.ndarray, r: np.ndarray) -> tuple:
+    """Unchecked channel action: ``(X cm X^T + Y`` symmetrised, ``X r + d)``."""
+    cm = X @ cm @ X.T + Y
+    return 0.5 * (cm + cm.T), X @ r + d
+
+
 def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNEL_TOL) -> GaussianState:
     """Act with a Gaussian channel on a Gaussian state.
+
+    This is the checking entry point: it validates the channel
+    (:func:`validate_channel`) and the input state (``validate_state``) on
+    every call before doing the algebra.  Loops whose inputs are valid by
+    construction, such as ``cooling.run_protocol``, check once at their own
+    boundary and then apply the same formula unchecked.
 
     Args:
         ch: channel, validated before use.
@@ -276,9 +289,28 @@ def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNE
         raise ValueError("channel fails the complete-positivity check")
     if not validate_state(state, tol):
         raise ValueError("input state has an invalid covariance matrix")
-    cm = ch.X @ state.cm @ ch.X.T + ch.Y
-    r = ch.X @ state.first_moments + ch.d
-    return GaussianState(state.n_modes, r, 0.5 * (cm + cm.T))
+    cm, r = _act(ch.X, ch.Y, ch.d, state.cm, state.first_moments)
+    return GaussianState(state.n_modes, r, cm)
+
+
+def _check_bath(nu_b: float, S: np.ndarray | None) -> np.ndarray:
+    """Refuse a non-finite or sub-vacuum ``nu_b`` and a ``S`` that is not a
+    2x2 symplectic; return ``S`` as a float array (identity when None)."""
+    if not 1.0 <= nu_b < math.inf:
+        raise ValueError(f"nu_b must be finite and >= 1, got {nu_b}")
+    if S is None:
+        return np.eye(2)
+    S = np.asarray(S, dtype=float)
+    if S.shape != (2, 2) or not is_symplectic(S):
+        raise ValueError("S must be a 2x2 symplectic matrix")
+    return S
+
+
+def _single_mode_xy(p: float, phi: float, nu_b: float, S: np.ndarray, S_inv: np.ndarray) -> tuple:
+    """Unchecked ``(X, Y)`` of :func:`single_mode_gto`; ``S_inv`` is ``S^{-1}``."""
+    c, s = np.cos(phi), np.sin(phi)
+    D = np.array([[c, s], [-s, c]])
+    return np.sqrt(p) * S @ D @ S_inv, (1.0 - p) * nu_b * S @ S.T
 
 
 def single_mode_gto(
@@ -293,7 +325,7 @@ def single_mode_gto(
     Args:
         p: survival weight in [0, 1].
         phi: rotation angle in the normal-mode frame.
-        nu_b: bath symplectic eigenvalue, >= 1.
+        nu_b: bath symplectic eigenvalue, finite and >= 1.
         S: 2x2 symplectic normal-mode matrix (identity when omitted).
 
     Returns:
@@ -301,17 +333,8 @@ def single_mode_gto(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if nu_b < 1.0:
-        raise ValueError(f"nu_b must be >= 1, got {nu_b}")
-    if S is None:
-        S = np.eye(2)
-    S = np.asarray(S, dtype=float)
-    if S.shape != (2, 2) or not is_symplectic(S):
-        raise ValueError("S must be a 2x2 symplectic matrix")
-    c, s = np.cos(phi), np.sin(phi)
-    D = np.array([[c, s], [-s, c]])
-    X = np.sqrt(p) * S @ D @ _symplectic_inverse(S)
-    Y = (1.0 - p) * nu_b * S @ S.T
+    S = _check_bath(nu_b, S)
+    X, Y = _single_mode_xy(p, phi, nu_b, S, _symplectic_inverse(S))
     return GaussianChannel(X=X, Y=Y, d=np.zeros(2))
 
 

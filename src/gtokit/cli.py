@@ -30,7 +30,6 @@ from .channels import (
     apply_channel,
     dilate_and_trace,
     gto_to_channel,
-    validate_channel,
 )
 from .cooling import ProtocolStep, greedy_adversary, run_protocol, sideband_swap
 from .feasibility import TransformQuery, necessary_bounds, single_mode_feasible, squeezed_bath_feasible
@@ -68,11 +67,16 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name} in input")
+
+
 def _read_json(args) -> dict:
+    """Parse the input JSON, refusing the non-standard NaN and +-Infinity."""
     if args.input:
         with open(args.input) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            return json.load(fh, parse_constant=_refuse_constant)
+    return json.load(sys.stdin, parse_constant=_refuse_constant)
 
 
 def _write_text(args, text: str) -> None:
@@ -151,8 +155,6 @@ def cmd_apply(args) -> int:
         channel = gto_to_channel(spec)
     else:
         raise ValueError("payload needs one of 'channel', 'single_mode_gto', 'gto'")
-    if not validate_channel(channel, tol=args.tol_channel):
-        raise ValueError("channel fails the complete-positivity check")
 
     out = apply_channel(channel, state, tol=args.tol_channel)
     result = out.to_dict()

@@ -14,11 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_channel, dilate_and_trace, single_mode_gto
+from .channels import (
+    CHANNEL_TOL,
+    _act,
+    _check_bath,
+    _single_mode_xy,
+    _symplectic_inverse,
+    dilate_and_trace,
+)
 from .states import GaussianState, entropy, nu_of, rotation, squeezer, validate_state
 from .symplectic import is_symplectic
 
 BOUND_TOL = 1e-9
+# A single-mode CM is physical iff cm[0, 0] > 0 and det(cm) = nu^2 >= 1; the
+# slack matches the state check ``apply_channel`` makes at CHANNEL_TOL.
+_MIN_DET = (1.0 - CHANNEL_TOL) ** 2
+_ZERO_2 = np.zeros(2)
 
 # θ = π/2 beam splitter: a full state swap between the two modes.
 _SWAP_4 = np.block(
@@ -82,14 +93,18 @@ class CoolingTrace:
         return np.array([s[1] for s in self.steps])
 
 
+def _nu_of_det(det: float) -> float:
+    return max(math.sqrt(max(det, 0.0)), 1.0)
+
+
 def _nu_of_cm(cm: np.ndarray) -> float:
-    return max(math.sqrt(max(np.linalg.det(cm), 0.0)), 1.0)
+    return _nu_of_det(np.linalg.det(cm))
 
 
 def entropy_lower_bound(nu_0: float, nu_b: float) -> float:
     """Entropy floor for single-mode protocols: ``entropy(min(nu_0, nu_b))``."""
-    if nu_0 < 1.0 or nu_b < 1.0:
-        raise ValueError("symplectic eigenvalues must be >= 1")
+    if not (1.0 <= nu_0 < math.inf and 1.0 <= nu_b < math.inf):
+        raise ValueError("symplectic eigenvalues must be finite and >= 1")
     return entropy(min(nu_0, nu_b))
 
 
@@ -102,6 +117,14 @@ def run_protocol(
 ) -> CoolingTrace:
     """Run an alternating unitary / partial-thermalization protocol.
 
+    Inputs are checked once, on entry: ``initial`` with ``validate_state``,
+    ``nu_b`` and ``S`` as in ``single_mode_gto``; each step's unitary and
+    ``p`` were checked when the :class:`ProtocolStep` was built.  A channel
+    built from such inputs is completely positive, so each step then only
+    applies ``cm -> X cm X^T + Y`` and ``r -> X r + d``, and checks that the
+    output is still physical (``cm[0, 0] > 0`` and ``det(cm) >= (1 -
+    CHANNEL_TOL)^2``, the single-mode form of ``validate_state``).
+
     Args:
         initial: single-mode starting state.
         steps: iterable of ProtocolStep.
@@ -113,27 +136,33 @@ def run_protocol(
     Returns:
         CoolingTrace with the entropy floor ``entropy(min(nu_0, nu_b))`` and
         a ``violated`` flag that stays False on every physical run.
+
+    Raises:
+        ValueError: on invalid input, or if rounding makes a step's output
+            unphysical ("input state has an invalid covariance matrix").
     """
     if initial.n_modes != 1:
         raise ValueError("cooling protocols act on a single mode")
     if not validate_state(initial):
         raise ValueError("initial state has an invalid covariance matrix")
-    cm = initial.cm.copy()
-    r = initial.first_moments.copy()
+    S = _check_bath(nu_b, S)
+    S_inv = _symplectic_inverse(S)
+    cm = initial.cm
+    r = initial.first_moments
 
     nu_0 = _nu_of_cm(cm)
+    bound = entropy_lower_bound(nu_0, nu_b)
     trace = [(nu_0, entropy(nu_0))]
     for step in steps:
         U = step.unitary
-        cm = U @ cm @ U.T
-        r = U @ r
-        ch = single_mode_gto(step.gto_p, step.gto_phi, nu_b, S)
-        out = apply_channel(ch, GaussianState(1, r, cm))
-        cm, r = out.cm, out.first_moments
-        nu = _nu_of_cm(cm)
+        X, Y = _single_mode_xy(step.gto_p, step.gto_phi, nu_b, S, S_inv)
+        cm, r = _act(X, Y, _ZERO_2, U @ cm @ U.T, U @ r)
+        det = np.linalg.det(cm)
+        if not (cm[0, 0] > 0.0 and det >= _MIN_DET):
+            raise ValueError("input state has an invalid covariance matrix")
+        nu = _nu_of_det(det)
         trace.append((nu, entropy(nu)))
 
-    bound = entropy_lower_bound(nu_0, nu_b)
     violated = bool(any(ent < bound - tol for _, ent in trace))
     return CoolingTrace(steps=trace, bound=bound, violated=violated)
 
@@ -148,7 +177,10 @@ def greedy_adversary(
     (32 points in [0, pi)) and channel weight p (64 points in [0, 1]) — and
     applies the combination minimizing the post-step symplectic eigenvalue.
     Rotations after the squeeze and the channel phase are omitted: neither
-    changes the output eigenvalue.
+    changes the output eigenvalue.  The grid determinant is evaluated as
+    ``p^2 det(cm) + p q tr(U cm U^T) + q^2`` with ``q = (1 - p) nu_b``, whose
+    first term is exactly the same for every unitary: at ``p = 1`` all
+    unitaries tie exactly, and ``argmin`` keeps the first, the identity.
 
     Args:
         nu_0: initial symplectic eigenvalue (state starts unsqueezed).
@@ -161,40 +193,36 @@ def greedy_adversary(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if nu_0 < 1.0 or nu_b < 1.0:
-        raise ValueError("symplectic eigenvalues must be >= 1")
+    bound = entropy_lower_bound(nu_0, nu_b)
 
     zs = np.logspace(0.0, 1.0, search_grid)
     phis = np.linspace(0.0, np.pi, 32, endpoint=False)
     ps = np.linspace(0.0, 1.0, 64)
+    eye = np.eye(2)
 
-    cm = nu_0 * np.eye(2)
+    cm = nu_0 * eye
     nu_now = _nu_of_cm(cm)
     trace = [(nu_now, entropy(nu_now))]
     cos, sin = np.cos(phis), np.sin(phis)
+    z2 = zs[:, None] ** 2
+    p = ps[:, None, None]
+    q = (1.0 - ps)[:, None, None] * nu_b
     for _ in range(n_steps):
         a, b, c = cm[0, 0], cm[0, 1], cm[1, 1]
-        # Rotate by phi, then squeeze by z: closed-form entries of U cm U^T.
+        # Rotate by phi, then squeeze by z: diagonal entries of U cm U^T.
         a_r = cos**2 * a + 2.0 * cos * sin * b + sin**2 * c
-        b_r = cos * sin * (c - a) + (cos**2 - sin**2) * b
         c_r = sin**2 * a - 2.0 * cos * sin * b + cos**2 * c
-        a_s = zs[:, None] ** 2 * a_r[None, :]
-        b_s = np.broadcast_to(b_r[None, :], a_s.shape)
-        c_s = c_r[None, :] / zs[:, None] ** 2
-        # det of p * cm_step + (1 - p) nu_b * identity over the p grid.
-        p = ps[:, None, None]
-        q = (1.0 - ps)[:, None, None] * nu_b
-        det = (p * a_s[None] + q) * (p * c_s[None] + q) - (p * b_s[None]) ** 2
+        tr_s = z2 * a_r[None, :] + c_r[None, :] / z2
+        # det of p * U cm U^T + q * identity over the grid; det(U cm U^T) = det(cm).
+        det = p * p * (a * c - b * b) + p * q * tr_s[None] + q * q
 
         k_p, k_z, k_phi = np.unravel_index(np.argmin(det), det.shape)
         U = squeezer(float(zs[k_z])) @ rotation(float(phis[k_phi]))
-        cm = U @ cm @ U.T
-        ch = single_mode_gto(float(ps[k_p]), 0.0, nu_b)
-        cm = ch.X @ cm @ ch.X.T + ch.Y
+        X, Y = _single_mode_xy(float(ps[k_p]), 0.0, nu_b, eye, eye)
+        cm, _ = _act(X, Y, _ZERO_2, U @ cm @ U.T, _ZERO_2)
         nu_now = _nu_of_cm(cm)
         trace.append((nu_now, entropy(nu_now)))
 
-    bound = entropy_lower_bound(nu_0, nu_b)
     violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))
     return CoolingTrace(steps=trace, bound=bound, violated=violated)
 

@@ -180,13 +180,15 @@ class FrequencySpectrum:
 def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     """Check that the covariance matrix describes a physical Gaussian state.
 
-    True iff ``cm`` is symmetric within ``tol``, positive definite, and its
-    smallest symplectic eigenvalue is at least ``1 - tol`` (the uncertainty
-    bound).
+    True iff the first moments and ``cm`` are finite, ``cm`` is symmetric
+    within ``tol``, positive definite, and its smallest symplectic eigenvalue
+    is at least ``1 - tol`` (the uncertainty bound).
     """
     cm = state.cm
     if cm.shape != (2 * state.n_modes, 2 * state.n_modes):
         raise ValueError("covariance matrix shape does not match n_modes")
+    if not (np.isfinite(cm).all() and np.isfinite(state.first_moments).all()):
+        return False
     scale = max(1.0, np.abs(cm).max())
     if np.abs(cm - cm.T).max() > tol * scale:
         return False

@@ -20,11 +20,22 @@ _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _SWAP_2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+_OMEGAS: dict = {}
+
+
 def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form on ``n_modes`` modes: direct sum of [[0,1],[-1,0]] blocks."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    return np.kron(np.eye(n_modes), _OMEGA_1)
+    """Symplectic form on ``n_modes`` modes: direct sum of [[0,1],[-1,0]] blocks.
+
+    Built once per mode count and shared: the returned array is read-only.
+    """
+    Om = _OMEGAS.get(n_modes)
+    if Om is None:
+        if n_modes < 1:
+            raise ValueError("n_modes must be a positive integer")
+        Om = np.kron(np.eye(n_modes), _OMEGA_1)
+        Om.flags.writeable = False
+        _OMEGAS[n_modes] = Om
+    return Om
 
 
 def _check_square_even(M: np.ndarray, name: str = "matrix") -> int:

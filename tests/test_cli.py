@@ -228,6 +228,34 @@ class TestCool:
         in_path = write_payload(tmp_path, {"nu0": 5.0})
         assert main(["cool", "--input", in_path]) == 2
 
+    @pytest.mark.parametrize("nu0, nu_b", [(1.5, 3.0), (3.0, 1.5), (1.2, 5.0)])
+    def test_adversary_ties_keep_the_floor(self, tmp_path, nu0, nu_b):
+        # At p = 1 every unitary ties; breaking the tie towards squeezing once
+        # compounded over 40 rounds until the trace claimed a violated floor.
+        rc, out = run_json(tmp_path, ["cool", "--adversary", "40", "--json"], {"nu0": nu0, "nu_b": nu_b})
+        assert rc == 0
+        assert out["violated"] is False
+        assert min(nu for nu, _ in out["steps"]) >= min(nu0, nu_b) - 1e-9
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["feasible"], '{"nu_i": NaN, "z_i": 4, "nu_f": 2.5, "z_f": 2, "nu_b": 2}'),
+            (["feasible"], '{"nu_i": Infinity, "z_i": 4, "nu_f": 2.5, "z_f": 2, "nu_b": 2}'),
+            (["feasible"], '{"nu_i": 2, "z_i": 4, "nu_f": -Infinity, "z_f": 2, "nu_b": 2}'),
+            (["cool", "--adversary", "3"], '{"nu0": NaN, "nu_b": 2}'),
+        ],
+    )
+    def test_refused_at_parse(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main(argv + ["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestThermoCurve:
     def test_csv_endpoints(self, tmp_path):

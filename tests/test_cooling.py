@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gtokit.channels import apply_channel, single_mode_gto
@@ -32,6 +34,35 @@ def random_single_mode_cm(rng, nu_max=5.0):
     nu = rng.uniform(1.0, nu_max)
     U = rotation(rng.uniform(0, 2 * np.pi)) @ squeezer(rng.uniform(1.0, 3.0))
     return nu * U @ U.T, nu
+
+
+def step_by_step_nus(initial, steps, nu_b, S=None):
+    """Symplectic eigenvalues along a protocol, through the public checking
+    API: ``single_mode_gto`` and ``apply_channel`` on every step."""
+    cm, r = initial.cm, initial.first_moments
+    nus = [max(math.sqrt(max(np.linalg.det(cm), 0.0)), 1.0)]
+    for step in steps:
+        U = step.unitary
+        ch = single_mode_gto(step.gto_p, step.gto_phi, nu_b, S)
+        out = apply_channel(ch, GaussianState(1, U @ r, U @ cm @ U.T))
+        cm, r = out.cm, out.first_moments
+        nus.append(max(math.sqrt(max(np.linalg.det(cm), 0.0)), 1.0))
+    return np.array(nus)
+
+
+angles = st.floats(0.0, 2 * np.pi)
+protocol_steps = st.lists(
+    st.builds(
+        ProtocolStep.from_params,
+        squeeze=st.floats(1.0, 5.0),
+        rotate=angles,
+        p=st.floats(0.0, 1.0),
+        phi=angles,
+    ),
+    min_size=1,
+    max_size=20,
+)
+frames = st.none() | st.builds(lambda z, a: rotation(a) @ squeezer(z), st.floats(1.0, 2.0), angles)
 
 
 class TestProtocolStep:
@@ -138,6 +169,51 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(bad, [], nu_b=2.0)
 
+    @given(
+        nu_0=st.floats(1.0, 6.0),
+        z_0=st.floats(1.0, 3.0),
+        nu_b=st.floats(1.0, 6.0),
+        steps=protocol_steps,
+        S=frames,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_checked_step_by_step_route(self, nu_0, z_0, nu_b, steps, S):
+        initial = GaussianState(1, np.array([0.3, -0.2]), nu_0 * np.diag([z_0, 1.0 / z_0]))
+        try:
+            want = step_by_step_nus(initial, steps, nu_b, S)
+        except ValueError:
+            # Rounding made a state look unphysical to the eigenvalue checks
+            # (conditioning ~1e16, reachable by heating in a squeezed frame).
+            assume(False)
+        trace = run_protocol(initial, steps, nu_b, S)
+        assert_allclose(trace.nus, want, rtol=1e-12, atol=0.0)
+        assert_allclose(trace.entropies, [entropy(nu) for nu in want], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("steps", [[], [ProtocolStep(np.eye(2), 0.5)]])
+    def test_rejects_non_symplectic_frame(self, steps):
+        state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))
+        with pytest.raises(ValueError, match="symplectic"):
+            run_protocol(state, steps, nu_b=2.0, S=2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("nu_b", [math.nan, math.inf, 0.5])
+    def test_rejects_bad_bath(self, nu_b):
+        state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))
+        for steps in ([], [ProtocolStep(np.eye(2), 0.5)]):
+            with pytest.raises(ValueError, match="nu_b"):
+                run_protocol(state, steps, nu_b=nu_b)
+
+    @pytest.mark.parametrize("cm, r", [(math.nan * np.eye(2), np.zeros(2)), (2.0 * np.eye(2), [math.inf, 0.0])])
+    def test_rejects_non_finite_initial_state(self, cm, r):
+        with pytest.raises(ValueError, match="initial state"):
+            run_protocol(GaussianState(1, r, cm), [], nu_b=2.0)
+
+    def test_checks_the_output_of_the_last_step(self):
+        state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))
+        steps = [ProtocolStep(np.eye(2), 0.5), ProtocolStep(np.eye(2), 1.0)]
+        steps[-1].unitary = 0.1 * np.eye(2)  # bypasses the step's own check
+        with pytest.raises(ValueError, match="invalid covariance matrix"):
+            run_protocol(state, steps, nu_b=2.0)
+
 
 class TestEntropyLowerBound:
     def test_ground_state_floor_is_zero(self):
@@ -151,6 +227,11 @@ class TestEntropyLowerBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             entropy_lower_bound(0.5, 2.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                entropy_lower_bound(bad, 2.0)
+            with pytest.raises(ValueError):
+                entropy_lower_bound(2.0, bad)
 
 
 class TestGreedyAdversary:
@@ -180,6 +261,21 @@ class TestGreedyAdversary:
             greedy_adversary(5.0, 2.0, n_steps=0)
         with pytest.raises(ValueError):
             greedy_adversary(0.9, 2.0, n_steps=1)
+
+    @pytest.mark.parametrize("nu_0, nu_b", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)])
+    def test_rejects_non_finite(self, nu_0, nu_b):
+        with pytest.raises(ValueError, match="finite"):
+            greedy_adversary(nu_0, nu_b, n_steps=3)
+
+    @pytest.mark.parametrize("nu_0, nu_b", [(1.5, 3.0), (3.0, 1.5), (1.2, 5.0)])
+    def test_ties_at_full_survival_keep_the_floor(self, nu_0, nu_b):
+        # At p = 1 every unitary gives the same eigenvalue; the tie must not
+        # pick squeezing, which compounds until sqrt(det) loses every digit.
+        trace = greedy_adversary(nu_0, nu_b, n_steps=40)
+        floor = min(nu_0, nu_b)
+        assert not trace.violated
+        assert trace.nus.min() >= floor - 1e-9
+        assert trace.nus.min() <= floor + 1e-6
 
 
 class TestSidebandSwap:

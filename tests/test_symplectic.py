@@ -39,6 +39,12 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega(0)
 
+    def test_memoised_and_read_only(self):
+        assert omega(3) is omega(3)
+        with pytest.raises(ValueError):
+            omega(2)[0, 1] = 5.0
+        assert omega(2)[0, 1] == 1.0
+
 
 class TestPredicates:
     def test_identity_is_symplectic(self):
