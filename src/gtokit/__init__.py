@@ -46,6 +46,7 @@ from .channels import (
     dilate_and_trace,
     displaced_gto,
     gto_to_channel,
+    oracle_apply,
     single_mode_gto,
     validate_channel,
 )

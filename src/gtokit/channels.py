@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .states import GaussianState, FrequencySpectrum, nu_of, validate_state
 from .symplectic import (
     STRUCTURAL_TOL,
     _check_unitary,
+    block_diag,
     is_passive,
     is_symplectic,
     omega,
@@ -372,6 +372,48 @@ def dilate_and_trace(
     joint = block_diag(system_cm, np.diag(np.repeat(bath_nus, 2)))
     out = O @ joint @ O.T
     return out[:dim_s, :dim_s]
+
+
+def oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
+    """Act with a thermal-operation channel through the explicit dilation.
+
+    The independent route to ``apply_channel(gto_to_channel(spec), state)``:
+    in the normal-mode frame each sector's system modes are coupled to an
+    equal number of bath modes at the sector's thermal eigenvalue through the
+    beam-splitter unitary ``(W + 1) [[C, S], [-S, C]] (Z + 1)``, and
+    :func:`dilate_and_trace` pinches the result back onto the system.
+
+    Args:
+        spec: validated GTOSpec.
+        state: input state on ``spec.spectrum.n_modes`` modes.
+
+    Returns:
+        GaussianState after the channel.
+    """
+    n = spec.spectrum.n_modes
+    S = spec.spectrum.S
+    S_inv = _symplectic_inverse(S)
+    sigma_nm = S_inv @ state.cm @ S_inv.T
+    r_nm = S_inv @ state.first_moments
+
+    O = np.eye(4 * n)
+    bath_nus = np.empty(n)
+    for gto_sec, freq_sec in zip(spec.sectors, spec.spectrum.sectors):
+        d = freq_sec.multiplicity
+        C = np.diag(np.cos(gto_sec.thetas))
+        Sd = np.diag(np.sin(gto_sec.thetas))
+        mid = np.block([[C, Sd], [-Sd, C]])
+        U_l = block_diag(gto_sec.W, np.eye(d)) @ mid @ block_diag(gto_sec.Z, np.eye(d))
+        modes = list(freq_sec.mode_indices) + [n + i for i in freq_sec.mode_indices]
+        rows = np.ravel([[2 * m, 2 * m + 1] for m in modes])
+        O[np.ix_(rows, rows)] = unitary_to_passive(U_l)
+        for i in freq_sec.mode_indices:
+            bath_nus[i] = nu_of(spec.beta, freq_sec.omega)
+
+    out_nm = dilate_and_trace(sigma_nm, O, bath_nus)
+    r_joint = np.concatenate([r_nm, np.zeros(2 * n)])
+    r_out = (O @ r_joint)[: 2 * n]
+    return GaussianState(n, S @ r_out, S @ out_nm @ S.T)
 
 
 def displaced_gto(ch: GaussianChannel, center: np.ndarray) -> GaussianChannel:

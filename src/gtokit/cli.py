@@ -18,7 +18,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .channels import (
     GaussianChannel,
@@ -26,14 +25,12 @@ from .channels import (
     SingleModeGTO,
     _complex_matrix_from_json,
     _complex_matrix_to_json,
-    _symplectic_inverse,
     apply_channel,
-    dilate_and_trace,
     gto_to_channel,
+    oracle_apply,
 )
 from .cooling import ProtocolStep, greedy_adversary, run_protocol, sideband_swap
 from .feasibility import TransformQuery, necessary_bounds, single_mode_feasible, squeezed_bath_feasible
-from .selftest import run_all
 from .states import (
     GaussianState,
     entropy,
@@ -45,7 +42,6 @@ from .symplectic import (
     STRUCTURAL_TOL,
     cosine_sine_decompose,
     symplectic_eigenvalues,
-    unitary_to_passive,
     williamson,
 )
 from .thermo import geometric_probs, thermo_curve
@@ -113,35 +109,6 @@ def cmd_feasible(args) -> int:
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
-def _oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
-    """Explicit-dilation route: per sector, couple the system modes to an
-    equal number of bath modes through the beam-splitter unitary and pinch."""
-    n = spec.spectrum.n_modes
-    S = spec.spectrum.S
-    S_inv = _symplectic_inverse(S)
-    sigma_nm = S_inv @ state.cm @ S_inv.T
-    r_nm = S_inv @ state.first_moments
-
-    O = np.eye(4 * n)
-    bath_nus = np.empty(n)
-    for gto_sec, freq_sec in zip(spec.sectors, spec.spectrum.sectors):
-        d = freq_sec.multiplicity
-        C = np.diag(np.cos(gto_sec.thetas))
-        Sd = np.diag(np.sin(gto_sec.thetas))
-        mid = np.block([[C, Sd], [-Sd, C]])
-        U_l = block_diag(gto_sec.W, np.eye(d)) @ mid @ block_diag(gto_sec.Z, np.eye(d))
-        modes = list(freq_sec.mode_indices) + [n + i for i in freq_sec.mode_indices]
-        rows = np.ravel([[2 * m, 2 * m + 1] for m in modes])
-        O[np.ix_(rows, rows)] = unitary_to_passive(U_l)
-        for i in freq_sec.mode_indices:
-            bath_nus[i] = nu_of(spec.beta, freq_sec.omega)
-
-    out_nm = dilate_and_trace(sigma_nm, O, bath_nus)
-    r_joint = np.concatenate([r_nm, np.zeros(2 * n)])
-    r_out = (O @ r_joint)[: 2 * n]
-    return GaussianState(n, S @ r_out, S @ out_nm @ S.T)
-
-
 def cmd_apply(args) -> int:
     payload = _read_json(args)
     state = GaussianState.from_dict(payload["state"])
@@ -161,7 +128,7 @@ def cmd_apply(args) -> int:
     if args.oracle:
         if spec is None:
             raise ValueError("--oracle requires a 'gto' payload")
-        via_oracle = _oracle_apply(spec, state)
+        via_oracle = oracle_apply(spec, state)
         result["oracle_max_deviation"] = float(
             max(
                 np.abs(out.cm - via_oracle.cm).max(),
@@ -267,6 +234,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_all
+
     results = run_all(_resolve_seed(args), quick=args.quick)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -207,6 +207,10 @@ def greedy_adversary(
     z2 = zs[:, None] ** 2
     p = ps[:, None, None]
     q = (1.0 - ps)[:, None, None] * nu_b
+    pp, pq, qq = p * p, p * q, q * q
+    # One grid buffer per call: fresh 256 KB temporaries each round would be
+    # served by mmap and page faults.
+    det = np.empty((ps.size, zs.size, phis.size))
     for _ in range(n_steps):
         a, b, c = cm[0, 0], cm[0, 1], cm[1, 1]
         # Rotate by phi, then squeeze by z: diagonal entries of U cm U^T.
@@ -214,7 +218,10 @@ def greedy_adversary(
         c_r = sin**2 * a - 2.0 * cos * sin * b + cos**2 * c
         tr_s = z2 * a_r[None, :] + c_r[None, :] / z2
         # det of p * U cm U^T + q * identity over the grid; det(U cm U^T) = det(cm).
-        det = p * p * (a * c - b * b) + p * q * tr_s[None] + q * q
+        # Same operations in the same order as p*p*det(cm) + p*q*tr_s + q*q.
+        np.multiply(pq, tr_s[None], out=det)
+        np.add(pp * (a * c - b * b), det, out=det)
+        det += qq
 
         k_p, k_z, k_phi = np.unravel_index(np.argmin(det), det.shape)
         U = squeezer(float(zs[k_z])) @ rotation(float(phis[k_phi]))

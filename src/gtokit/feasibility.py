@@ -40,12 +40,12 @@ class TransformQuery:
     vartheta: float | None = None
 
     def __post_init__(self):
-        for name in ("nu_i", "nu_f", "nu_b"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("z_i", "z_f"):
-            if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("nu_i", "z_i", "nu_f", "z_f", "nu_b"):
+            value = getattr(self, name)
+            if not 1.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 1, got {value}")
+        if self.vartheta is not None and not math.isfinite(self.vartheta):
+            raise ValueError(f"vartheta must be finite, got {self.vartheta}")
 
     def to_dict(self) -> dict:
         out = {

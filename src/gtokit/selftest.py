@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .channels import GTOSector, GTOSpec, dilate_and_trace, gto_to_channel, single_mode_gto
 from .cooling import entropy_lower_bound, greedy_adversary, run_protocol, ProtocolStep
@@ -23,6 +22,7 @@ from .states import (
     single_mode_decompose,
 )
 from .symplectic import (
+    block_diag,
     build_isotropy_element,
     cosine_sine_decompose,
     is_symplectic,

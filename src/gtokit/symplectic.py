@@ -6,18 +6,40 @@ All phase-space objects use the mode-major quadrature ordering
 are handled through their complex unitary representation: the n x n unitary
 U corresponds to the 2n x 2n real matrix whose (j, k) block is
 [[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]].
+
+Only three kernels need LAPACK routines that scipy alone provides
+(``williamson``, ``triangularize_offdiagonal``, ``cosine_sine_decompose``);
+each imports them when it runs, so importing gtokit loads numpy only.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, cossin, qr, schur
 
 STRUCTURAL_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _SWAP_2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """Direct sum of 2-D blocks: each on the diagonal, zeros elsewhere.
+
+    The numpy counterpart of ``scipy.linalg.block_diag``: same placement and
+    the same dtype (``np.result_type`` of the blocks), so importing gtokit
+    does not load scipy.
+    """
+    blocks = [np.atleast_2d(b) for b in blocks] or [np.zeros((1, 0))]
+    rows, cols = map(sum, zip(*(b.shape for b in blocks)))
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        h, w = b.shape
+        out[r:r + h, c:c + w] = b
+        r += h
+        c += w
+    return out
 
 
 _OMEGAS: dict = {}
@@ -152,6 +174,8 @@ def williamson(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> WilliamsonForm:
     Returns:
         WilliamsonForm with ``S`` symplectic and ``nus`` sorted descending.
     """
+    from scipy.linalg import schur
+
     P = _check_spd(P, tol)
     n = P.shape[0] // 2
     Om = omega(n)
@@ -222,6 +246,8 @@ def triangularize_offdiagonal(U: np.ndarray, n: int, m: int, tol: float = STRUCT
     Returns:
         Tuple ``(U_m, V_m, U_reduced)``.
     """
+    from scipy.linalg import qr
+
     if m < n:
         raise ValueError(f"bath block must be at least as large as system (m={m} < n={n})")
     U = _check_unitary(U, tol)
@@ -288,6 +314,8 @@ def cosine_sine_decompose(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> CosineS
     Returns:
         CosineSineForm whose :meth:`~CosineSineForm.reconstruct` matches ``U``.
     """
+    from scipy.linalg import cossin
+
     U = _check_unitary(U, tol)
     n2 = _check_square_even(U, "U")
 

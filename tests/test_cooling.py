@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gtokit.channels import apply_channel, single_mode_gto
+from gtokit.channels import _act, _single_mode_xy, apply_channel, single_mode_gto
 from gtokit.cooling import (
     CoolingTrace,
     ProtocolStep,
+    _nu_of_cm,
     entropy_lower_bound,
     greedy_adversary,
     run_protocol,
@@ -276,6 +277,53 @@ class TestGreedyAdversary:
         assert not trace.violated
         assert trace.nus.min() >= floor - 1e-9
         assert trace.nus.min() <= floor + 1e-6
+
+
+def one_expression_adversary_nus(nu_0, nu_b, n_steps, search_grid=16):
+    """``greedy_adversary``'s eigenvalues with the grid determinant written as
+    the one expression ``p*p*det(cm) + p*q*tr_s + q*q``, minimised by argmin."""
+    zs = np.logspace(0.0, 1.0, search_grid)
+    phis = np.linspace(0.0, np.pi, 32, endpoint=False)
+    ps = np.linspace(0.0, 1.0, 64)
+    eye, zero = np.eye(2), np.zeros(2)
+    cos, sin = np.cos(phis), np.sin(phis)
+    z2 = zs[:, None] ** 2
+    p = ps[:, None, None]
+    q = (1.0 - ps)[:, None, None] * nu_b
+    cm = nu_0 * eye
+    nus = [_nu_of_cm(cm)]
+    for _ in range(n_steps):
+        a, b, c = cm[0, 0], cm[0, 1], cm[1, 1]
+        a_r = cos**2 * a + 2.0 * cos * sin * b + sin**2 * c
+        c_r = sin**2 * a - 2.0 * cos * sin * b + cos**2 * c
+        tr_s = z2 * a_r[None, :] + c_r[None, :] / z2
+        det = p * p * (a * c - b * b) + p * q * tr_s[None] + q * q
+        k_p, k_z, k_phi = np.unravel_index(np.argmin(det), det.shape)
+        U = squeezer(float(zs[k_z])) @ rotation(float(phis[k_phi]))
+        X, Y = _single_mode_xy(float(ps[k_p]), 0.0, nu_b, eye, eye)
+        cm, _ = _act(X, Y, zero, U @ cm @ U.T, zero)
+        nus.append(_nu_of_cm(cm))
+    return nus
+
+
+class TestGreedyAdversaryGrid:
+    """The in-place grid evaluation keeps the one expression's rounding."""
+
+    @pytest.mark.parametrize("n_steps", [10, 40])
+    @pytest.mark.parametrize("nu_0, nu_b", [(5.0, 2.0), (1.5, 3.0), (3.0, 1.5), (1.2, 5.0)])
+    def test_panel_traces_equal_the_one_expression(self, nu_0, nu_b, n_steps):
+        trace = greedy_adversary(nu_0, nu_b, n_steps)
+        assert trace.nus.tolist() == one_expression_adversary_nus(nu_0, nu_b, n_steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nu_0=st.floats(1.0, 6.0),
+        nu_b=st.floats(1.0, 6.0),
+        n_steps=st.integers(1, 40),
+    )
+    def test_generated_traces_equal_the_one_expression(self, nu_0, nu_b, n_steps):
+        trace = greedy_adversary(nu_0, nu_b, n_steps)
+        assert trace.nus.tolist() == one_expression_adversary_nus(nu_0, nu_b, n_steps)
 
 
 class TestSidebandSwap:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -83,6 +85,33 @@ class TestSingleModeFeasible:
             TransformQuery(nu_i=0.5, z_i=1.0, nu_f=2.0, z_f=1.0, nu_b=2.0)
         with pytest.raises(ValueError):
             TransformQuery(nu_i=2.0, z_i=0.9, nu_f=2.0, z_f=1.0, nu_b=2.0)
+
+    WORKED = dict(nu_i=2.0, z_i=4.0, nu_f=2.5, z_f=2.0, nu_b=2.0)
+
+    def test_refuses_nan_input(self):
+        # Used to give feasible=True with p = nan.
+        with pytest.raises(ValueError, match="nu_i must be finite"):
+            TransformQuery(**dict(self.WORKED, nu_i=math.nan))
+
+    def test_refuses_infinite_input(self):
+        # Used to give feasible=True with p = 1.0: the degeneracy test scales by inf.
+        with pytest.raises(ValueError, match="nu_i must be finite"):
+            TransformQuery(**dict(self.WORKED, nu_i=math.inf))
+
+    def test_refuses_infinite_target_squeezing(self):
+        with pytest.raises(ValueError, match="z_f must be finite"):
+            TransformQuery(**dict(self.WORKED, z_f=math.inf))
+
+    @pytest.mark.parametrize("name", ["nu_i", "z_i", "nu_f", "z_f", "nu_b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_every_non_finite_field(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
+            TransformQuery(**dict(self.WORKED, **{name: bad}))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_bath_angle(self, bad):
+        with pytest.raises(ValueError, match="vartheta must be finite"):
+            TransformQuery(**self.WORKED, vartheta=bad)
 
     def test_forward_simulated_targets_all_feasible(self):
         rng = np.random.default_rng(41)

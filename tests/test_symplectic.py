@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+from gtokit import symplectic
 from gtokit.symplectic import (
     build_isotropy_element,
     cosine_sine_decompose,
@@ -44,6 +45,34 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega(2)[0, 1] = 5.0
         assert omega(2)[0, 1] == 1.0
+
+
+_U3 = random_unitary(3, 0)
+_S2 = random_symplectic(2, 5)
+# Block lists of the shapes gtokit passes to block_diag, by call site.
+BLOCK_DIAG_CASES = {
+    "williamson-fixups": [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)],
+    "one-block": [np.eye(2)],
+    "real-sectors": [w * np.eye(2 * d) for w, d in zip((0.7, 1.9, 3.1), (1, 3, 2))],
+    "complex-sectors": [random_unitary(1, 1), _U3, random_unitary(2, 2)],
+    "triangularize": [np.eye(2), _U3],
+    "cosine-sine": [_U3, random_unitary(3, 4)],
+    "dilation": [_S2 @ np.diag([2.0, 2.0, 1.5, 1.5]) @ _S2.T, np.diag(np.repeat([1.5, 2.5, 4.0], 2))],
+    "oracle-mixed": [_U3, np.eye(3)],
+    "int-and-float": [np.eye(2, dtype=int), np.ones((1, 1))],
+    "no-blocks": [],
+}
+
+
+class TestBlockDiag:
+    @pytest.mark.parametrize("name", BLOCK_DIAG_CASES)
+    def test_equals_scipy_in_values_and_dtype(self, name):
+        blocks = BLOCK_DIAG_CASES[name]
+        got = symplectic.block_diag(*blocks)
+        want = block_diag(*blocks)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestPredicates:
