@@ -5,9 +5,9 @@ and on first moments as ``r -> X r + d``.  Thermal-operation channels come in
 a normal form: in the frame where the system Hamiltonian is a direct sum of
 frequency sectors, each sector independently undergoes passive optics, a
 per-mode loss ``cos(theta)`` into a thermal environment at the background
-temperature, and passive optics again.  ``dilate_and_trace`` provides the
-brute-force alternative (explicit bath modes, global passive transformation,
-partial trace) used as an oracle in the tests.
+temperature, and passive optics again.  ``oracle_apply`` is the brute-force
+alternative used as an oracle: explicit bath modes, a global passive
+transformation, and a partial trace by ``dilate_and_trace``.
 """
 
 import math

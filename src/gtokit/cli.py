@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .channels import (
+    CHANNEL_TOL,
     GaussianChannel,
     GTOSpec,
     SingleModeGTO,
@@ -30,7 +31,13 @@ from .channels import (
     oracle_apply,
 )
 from .cooling import ProtocolStep, greedy_adversary, run_protocol, sideband_swap
-from .feasibility import TransformQuery, necessary_bounds, single_mode_feasible, squeezed_bath_feasible
+from .feasibility import (
+    FEASIBILITY_TOL,
+    TransformQuery,
+    necessary_bounds,
+    single_mode_feasible,
+    squeezed_bath_feasible,
+)
 from .states import (
     GaussianState,
     entropy,
@@ -44,7 +51,7 @@ from .symplectic import (
     symplectic_eigenvalues,
     williamson,
 )
-from .thermo import geometric_probs, thermo_curve
+from .thermo import geometric_probs, level_cutoff, thermo_curve
 
 DEFAULT_SEED = 1729
 
@@ -67,12 +74,29 @@ def _refuse_constant(name: str):
     raise ValueError(f"non-finite number {name} in input")
 
 
+def _finite(parse):
+    """JSON number hook: ``parse(text)``, refusing numbers beyond the double range."""
+
+    def hook(text: str):
+        if math.isinf(float(text)):
+            shown = text if len(text) <= 20 else text[:20] + "..."
+            raise ValueError(f"number {shown} in input overflows a double")
+        return parse(text)
+
+    return hook
+
+
+_JSON_HOOKS = dict(
+    parse_constant=_refuse_constant, parse_float=_finite(float), parse_int=_finite(int)
+)
+
+
 def _read_json(args) -> dict:
-    """Parse the input JSON, refusing the non-standard NaN and +-Infinity."""
+    """Parse the input JSON, refusing NaN, +-Infinity and numbers that overflow a double."""
     if args.input:
         with open(args.input) as fh:
-            return json.load(fh, parse_constant=_refuse_constant)
-    return json.load(sys.stdin, parse_constant=_refuse_constant)
+            return json.load(fh, **_JSON_HOOKS)
+    return json.load(sys.stdin, **_JSON_HOOKS)
 
 
 def _write_text(args, text: str) -> None:
@@ -198,7 +222,7 @@ def cmd_thermo_curve(args) -> int:
     if "N" in payload:
         N = int(payload["N"])
     else:
-        N = int(math.ceil(28.0 / (min(beta_i, beta) * E)))
+        N = level_cutoff(beta_i, beta, E=E)
     curve = thermo_curve(geometric_probs(beta_i, E, N), geometric_probs(beta, E, N))
     lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in curve.breakpoints]
     _write_text(args, "\n".join(lines) + "\n")
@@ -262,11 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tolerance for symmetry/symplectic/unitarity checks",
     )
     common.add_argument(
-        "--tol-channel", type=float, default=1e-8,
+        "--tol-channel", type=float, default=CHANNEL_TOL,
         help="tolerance for the channel complete-positivity check",
     )
     common.add_argument(
-        "--tol-feasibility", type=float, default=1e-9,
+        "--tol-feasibility", type=float, default=FEASIBILITY_TOL,
         help="tolerance for feasibility consistency and range checks",
     )
 

@@ -90,6 +90,16 @@ def geometric_probs(beta: float, E: float, N: int, tail_tol: float = TAIL_TOL) -
     return GeometricDist(beta=beta, E=E, cutoff=N, probs=probs / probs.sum())
 
 
+def level_cutoff(*betas: float, E: float) -> int:
+    """Level cutoff ``N = ceil(28 / (min(betas) E))`` for comparing these temperatures.
+
+    Every distribution at one of ``betas`` then truncates a tail mass of at
+    most ``e^{-28} ~ 6.9e-13``, below ``TAIL_TOL``, so :func:`geometric_probs`
+    accepts all of them at ``N`` (and at any larger cutoff).
+    """
+    return math.ceil(28.0 / (min(betas) * E))
+
+
 def thermo_curve(p: GeometricDist, g: GeometricDist) -> ThermoCurve:
     """Majorization curve of distribution ``p`` relative to Gibbs weights ``g``.
 

@@ -1,44 +1,19 @@
 """Acceptance suite: one test per headline guarantee, each printing a verdict.
 
 Run with ``pytest -s`` (the project default) so the ``[criterion NN]`` lines
-appear in the log; every test also enforces its stated runtime budget.
+appear in the log; every test also enforces its stated runtime budget.  The
+seeded property criteria run the ``gtokit.selftest`` suites at full size.
 """
 
-import math
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from gtokit.channels import (
-    GTOSector,
-    GTOSpec,
-    apply_channel,
-    dilate_and_trace,
-    gto_to_channel,
-    single_mode_gto,
-)
-from gtokit.cooling import ProtocolStep, greedy_adversary, run_protocol, sideband_swap
+from gtokit import selftest
+from gtokit.channels import apply_channel, single_mode_gto
+from gtokit.cooling import sideband_swap
 from gtokit.feasibility import TransformQuery, single_mode_feasible
-from gtokit.selftest import thermo_agreement_cases
-from gtokit.states import (
-    FrequencySector,
-    FrequencySpectrum,
-    GaussianState,
-    free_energy,
-    nu_of,
-    single_mode_decompose,
-)
-from gtokit.symplectic import (
-    build_isotropy_element,
-    cosine_sine_decompose,
-    omega,
-    random_symplectic,
-    random_unitary,
-    unitary_to_passive,
-    williamson,
-)
-from gtokit.thermo import cross_check
+from gtokit.states import GaussianState, free_energy, nu_of
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -47,10 +22,14 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _random_cm(n, rng, nu_max=3.0):
-    S = random_symplectic(n, int(rng.integers(0, 2**32)))
-    nus = rng.uniform(1.0, nu_max, size=n)
-    return S @ np.diag(np.repeat(nus, 2)) @ S.T
+def _run_suites(num: int, name: str, seed: int, budget_s: float, *suites) -> None:
+    """Run full-size selftest suites on ``seed`` as one criterion within ``budget_s``."""
+    t0 = perf_counter()
+    results = [suite(seed) for suite in suites]
+    elapsed = perf_counter() - t0
+    ok = all(res.passed for res in results) and elapsed < budget_s
+    detail = "; ".join(res.detail for res in results)
+    _report(num, name, ok, f"{detail}, {elapsed:.2f} s")
 
 
 def test_criterion_01_worked_example():
@@ -79,147 +58,28 @@ def test_criterion_01_worked_example():
 
 
 def test_criterion_02_oracle_equivalence():
-    rng = np.random.default_rng(202)
-    t0 = perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        for k in range(100):
-            U = random_unitary(2 * n, 7000 * n + k)
-            form = cosine_sine_decompose(U)
-            beta = rng.uniform(0.3, 2.0)
-            om = rng.uniform(0.5, 2.0)
-            nu_b = nu_of(beta, om)
-            spectrum = FrequencySpectrum(
-                S=np.eye(2 * n),
-                sectors=(FrequencySector(omega=om, multiplicity=n, mode_indices=tuple(range(n))),),
-            )
-            spec = GTOSpec(
-                spectrum=spectrum,
-                beta=beta,
-                sectors=[GTOSector(Z=form.Z, thetas=form.thetas, W=form.W)],
-            )
-            ch = gto_to_channel(spec)
-            O = unitary_to_passive(U)
-            for _ in range(10):
-                cm = _random_cm(n, rng)
-                via_form = ch.X @ cm @ ch.X.T + ch.Y
-                via_oracle = dilate_and_trace(cm, O, [nu_b] * n)
-                worst = max(worst, np.abs(via_form - via_oracle).max())
-    elapsed = perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 10.0
-    _report(
-        2,
-        "decomposed channel vs dilation oracle",
-        ok,
-        f"max deviation {worst:.2e} over 300 unitaries x 10 CMs, {elapsed:.2f} s",
+    _run_suites(
+        2, "decomposed channel vs dilation oracle", 202, 10.0, selftest.suite_oracle_equivalence
     )
 
 
 def test_criterion_03_decomposition_round_trips():
-    rng = np.random.default_rng(303)
-    t0 = perf_counter()
-    worst_wil = 0.0
-    for k in range(100):
-        n = k % 6 + 1
-        M = rng.standard_normal((2 * n, 2 * n))
-        P = M @ M.T + 0.5 * np.eye(2 * n)
-        form = williamson(P)
-        worst_wil = max(worst_wil, np.abs(form.reconstruct() - P).max() / np.abs(P).max())
-    worst_cs = 0.0
-    for k in range(100):
-        m = k % 6 + 1
-        U = random_unitary(2 * m, 9000 + k)
-        form = cosine_sine_decompose(U)
-        worst_cs = max(worst_cs, np.abs(form.reconstruct() - U).max())
-    elapsed = perf_counter() - t0
-    ok = worst_wil <= 1e-8 and worst_cs <= 1e-9 and elapsed < 5.0
-    _report(
+    _run_suites(
         3,
         "decomposition round trips",
-        ok,
-        f"normal-form rel err {worst_wil:.2e}, splitter err {worst_cs:.2e}, {elapsed:.2f} s",
+        303,
+        5.0,
+        selftest.suite_williamson_roundtrip,
+        selftest.suite_cs_roundtrip,
     )
 
 
 def test_criterion_04_isotropy_invariance():
-    rng = np.random.default_rng(404)
-    t0 = perf_counter()
-    worst = 0.0
-    for k in range(100):
-        mults = tuple(rng.integers(1, 4, size=rng.integers(1, 4)))
-        blocks = [random_unitary(d, 11000 + 5 * k + j) for j, d in enumerate(mults)]
-        K = build_isotropy_element(mults, blocks)
-        oms = rng.uniform(0.5, 3.0, size=len(mults))
-        Y = block_diag(*[om * np.eye(2 * d) for om, d in zip(oms, mults)])
-        Om = omega(sum(mults))
-        worst = max(
-            worst,
-            np.abs(K @ Y @ K.T - Y).max(),
-            np.abs(K @ (Y @ Om) - (Y @ Om) @ K).max(),
-        )
-    # negative control: a generic two-mode mixer across distinct frequencies
-    violations = []
-    for k in range(10):
-        K = unitary_to_passive(random_unitary(2, 12000 + k))
-        Y = np.diag([1.0, 1.0, 2.0, 2.0])
-        violations.append(np.abs(K @ Y @ K.T - Y).max())
-    elapsed = perf_counter() - t0
-    ok = worst <= 1e-10 and min(violations) > 1e-6 and elapsed < 2.0
-    _report(
-        4,
-        "frequency-sector isotropy",
-        ok,
-        f"max invariance defect {worst:.2e}, control violation >= {min(violations):.2e}, {elapsed:.2f} s",
-    )
+    _run_suites(4, "frequency-sector isotropy", 404, 2.0, selftest.suite_isotropy)
 
 
 def test_criterion_05_feasibility_soundness():
-    rng = np.random.default_rng(505)
-    t0 = perf_counter()
-    all_feasible = True
-    worst_dp = 0.0
-    for _ in range(10_000):
-        nu_i = rng.uniform(1.0, 4.0)
-        z_i = rng.uniform(1.0, 4.0)
-        nu_b = rng.uniform(1.0, 3.0)
-        p = rng.uniform(0.0, 1.0)
-        ch = single_mode_gto(p, rng.uniform(0.0, 2.0 * np.pi), nu_b)
-        cm = nu_i * np.diag([z_i, 1.0 / z_i])
-        nf = single_mode_decompose(ch.X @ cm @ ch.X.T + ch.Y)
-        res = single_mode_feasible(
-            TransformQuery(nu_i=nu_i, z_i=z_i, nu_f=nf.nu, z_f=nf.z, nu_b=nu_b)
-        )
-        all_feasible &= res.feasible
-        if res.feasible:
-            worst_dp = max(worst_dp, abs(res.p - p))
-
-    none_feasible = True
-    for k in range(1_000):
-        nu_i = rng.uniform(1.5, 4.0)
-        z_i = rng.uniform(1.0, 4.0)
-        nu_b = rng.uniform(1.5, 3.0)
-        lo, hi = min(nu_i, nu_b), max(nu_i, nu_b)
-        if k % 2:
-            # push the target below the temperature floor
-            nu_f = 1.0 + (lo - 1.0) * rng.uniform(0.05, 0.9)
-            z_f = rng.uniform(1.0, 2.0)
-        else:
-            # ask for more squeezing than the input carries
-            nu_f = rng.uniform(lo, hi)
-            z_f = z_i * rng.uniform(1.1, 2.0)
-        res = single_mode_feasible(
-            TransformQuery(nu_i=nu_i, z_i=z_i, nu_f=nu_f, z_f=z_f, nu_b=nu_b)
-        )
-        none_feasible &= not res.feasible
-    elapsed = perf_counter() - t0
-    ok = all_feasible and worst_dp <= 1e-8 and none_feasible and elapsed < 5.0
-    _report(
-        5,
-        "feasibility soundness sweep",
-        ok,
-        f"10^4 forward runs feasible={all_feasible} (max |dp| {worst_dp:.2e}), "
-        f"10^3 bound violations all refused={none_feasible}, {elapsed:.2f} s",
-    )
+    _run_suites(5, "feasibility soundness sweep", 505, 5.0, selftest.suite_feasibility_soundness)
 
 
 def test_criterion_06_unsqueezed_interval_criterion():
@@ -246,46 +106,7 @@ def test_criterion_06_unsqueezed_interval_criterion():
 
 
 def test_criterion_07_cooling_no_go():
-    rng = np.random.default_rng(707)
-    t0 = perf_counter()
-    floor = 2.0 - 1e-6
-
-    adv = greedy_adversary(5.0, 2.0, n_steps=10)
-    adv_ok = (not adv.violated) and adv.nus.min() >= floor
-
-    initial = GaussianState(1, np.zeros(2), 5.0 * np.eye(2))
-    min_nu = np.inf
-    any_violated = False
-    for _ in range(10_000):
-        steps = [
-            ProtocolStep.from_params(
-                squeeze=float(np.exp(rng.uniform(0.0, np.log(5.0)))),
-                rotate=rng.uniform(0.0, 2.0 * np.pi),
-                p=rng.uniform(0.0, 1.0),
-                phi=rng.uniform(0.0, 2.0 * np.pi),
-            )
-            for _ in range(int(rng.integers(1, 7)))
-        ]
-        trace = run_protocol(initial, steps, nu_b=2.0)
-        min_nu = min(min_nu, trace.nus.min())
-        any_violated |= trace.violated
-
-    # at nu_0 = nu_b the thermal state is a fixed point, bit for bit when
-    # sqrt(p) is exactly representable
-    fixed = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
-    steps = [ProtocolStep(np.eye(2), p) for p in (0.25, 1.0, 0.0, 0.25, 0.25)]
-    fixed_trace = run_protocol(fixed, steps, nu_b=2.0)
-    fixed_ok = all(nu == 2.0 for nu in fixed_trace.nus)
-
-    elapsed = perf_counter() - t0
-    ok = adv_ok and (not any_violated) and min_nu >= floor and fixed_ok and elapsed < 30.0
-    _report(
-        7,
-        "cooling no-go",
-        ok,
-        f"adversary min nu {adv.nus.min():.8f}, random-protocol min nu {min_nu:.8f}, "
-        f"fixed point exact={fixed_ok}, {elapsed:.2f} s",
-    )
+    _run_suites(7, "cooling no-go", 707, 30.0, selftest.suite_cooling_bound)
 
 
 def test_criterion_08_sideband_escape():
@@ -311,23 +132,7 @@ def test_criterion_08_sideband_escape():
 
 
 def test_criterion_09_thermo_majorization_agreement():
-    rng = np.random.default_rng(909)
-    t0 = perf_counter()
-    agreements = 0
-    stable = True
-    for beta_i, beta_f, beta, E in thermo_agreement_cases(rng, 200):
-        N = math.ceil(28.0 / (min(beta_i, beta_f, beta) * E))
-        thermo, _, agree = cross_check(beta_i, beta_f, beta, E, N)
-        agreements += agree
-        stable &= cross_check(beta_i, beta_f, beta, E, 2 * N)[0] == thermo
-    elapsed = perf_counter() - t0
-    ok = agreements == 200 and stable and elapsed < 10.0
-    _report(
-        9,
-        "thermo-majorization agreement",
-        ok,
-        f"{agreements}/200 triples agree, cutoff-doubling stable={stable}, {elapsed:.2f} s",
-    )
+    _run_suites(9, "thermo-majorization agreement", 909, 10.0, selftest.suite_thermo_agreement)
 
 
 def test_criterion_10_free_energy_minimum():

@@ -246,6 +246,19 @@ class TestNonFiniteInput:
             (["feasible"], '{"nu_i": Infinity, "z_i": 4, "nu_f": 2.5, "z_f": 2, "nu_b": 2}'),
             (["feasible"], '{"nu_i": 2, "z_i": 4, "nu_f": -Infinity, "z_f": 2, "nu_b": 2}'),
             (["cool", "--adversary", "3"], '{"nu0": NaN, "nu_b": 2}'),
+            # numbers that overflow a double
+            pytest.param(
+                ["apply"],
+                '{"state": {"n_modes": 1, "first_moments": [0, 0], "cm": [[2, 0], [0, 2]]}, '
+                '"channel": {"X": [[1, 0], [0, 1]], "Y": [[0, 0], [0, 0]], "d": [1e309, 0]}}',
+                id="apply-1e309",
+            ),
+            pytest.param(["thermo-curve"], '{"beta_i": 1e309, "beta": 0.7, "E": 1.0}', id="thermo-curve-1e309"),
+            pytest.param(
+                ["feasible"],
+                '{"nu_i": 1' + "0" * 400 + ', "z_i": 4, "nu_f": 2.5, "z_f": 2, "nu_b": 2}',
+                id="feasible-401-digit-int",
+            ),
         ],
     )
     def test_refused_at_parse(self, tmp_path, capsys, argv, text):

@@ -6,20 +6,18 @@ from numpy.testing import assert_allclose
 
 from gtokit.selftest import thermo_agreement_cases
 from gtokit.thermo import (
+    TAIL_TOL,
     GeometricDist,
     ThermoCurve,
     cross_check,
     curve_dominates,
     dominance_margin,
     geometric_probs,
+    level_cutoff,
     thermo_curve,
 )
 
 LN2 = math.log(2.0)
-
-
-def cutoff_for(*betas, E=1.0):
-    return math.ceil(28.0 / (min(betas) * E))
 
 
 class TestGeometricProbs:
@@ -32,8 +30,16 @@ class TestGeometricProbs:
         assert_allclose(d.probs[:3], [0.75, 0.1875, 0.046875], rtol=1e-12)
 
     def test_normalized(self):
-        d = geometric_probs(0.9, 1.3, cutoff_for(0.9, E=1.3))
+        d = geometric_probs(0.9, 1.3, level_cutoff(0.9, E=1.3))
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_level_cutoff_keeps_every_tail_below_tolerance(self):
+        assert level_cutoff(0.5, 0.7, E=1.0) == 56
+        N = level_cutoff(1.4, 0.45, 2.0, E=1.7)
+        assert N == math.ceil(28.0 / (0.45 * 1.7))
+        for beta in (1.4, 0.45, 2.0):
+            assert math.exp(-beta * 1.7 * N) <= TAIL_TOL
+            geometric_probs(beta, 1.7, N)
 
     def test_loud_truncation(self):
         with pytest.raises(ValueError, match="tail mass"):
@@ -112,7 +118,7 @@ class TestCurveDominates:
         assert curve_dominates(c, c)
 
     def test_any_distribution_dominates_the_gibbs_curve(self):
-        N = cutoff_for(0.4, 0.8, 1.7)
+        N = level_cutoff(0.4, 0.8, 1.7, E=1.0)
         g = geometric_probs(0.8, 1.0, N)
         diag = thermo_curve(g, g)
         for beta_i in (0.4, 0.8, 1.7):
@@ -121,7 +127,7 @@ class TestCurveDominates:
 
     def test_crossing_curves_dominate_neither_way(self):
         # initial colder than the bath, target hotter: the curves intersect
-        N = cutoff_for(1.2, 0.7, 0.5)
+        N = level_cutoff(1.2, 0.7, 0.5, E=1.0)
         g = geometric_probs(0.7, 1.0, N)
         ci = thermo_curve(geometric_probs(1.2, 1.0, N), g)
         cf = thermo_curve(geometric_probs(0.5, 1.0, N), g)
@@ -129,7 +135,7 @@ class TestCurveDominates:
         assert not curve_dominates(cf, ci)
 
     def test_margin_sign_convention(self):
-        N = cutoff_for(0.5, 0.7)
+        N = level_cutoff(0.5, 0.7, E=1.0)
         g = geometric_probs(0.7, 1.0, N)
         diag = thermo_curve(g, g)
         hot = thermo_curve(geometric_probs(0.5, 1.0, N), g)
@@ -160,7 +166,7 @@ class TestCrossCheck:
     def test_sampled_triples_always_agree(self):
         rng = np.random.default_rng(67)
         for beta_i, beta_f, beta, E in thermo_agreement_cases(rng, 50):
-            N = cutoff_for(beta_i, beta_f, beta, E=E)
+            N = level_cutoff(beta_i, beta_f, beta, E=E)
             v1, _, agree = cross_check(beta_i, beta_f, beta, E, N)
             assert agree, (beta_i, beta_f, beta, E, N)
             # the verdict must not depend on the (adequate) cutoff
