@@ -10,15 +10,16 @@ alternative used as an oracle: explicit bath modes, a global passive
 transformation, and a partial trace by ``dilate_and_trace``.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import GaussianState, FrequencySpectrum, nu_of, validate_state
+from .states import GaussianState, FrequencySpectrum, _check_nu, nu_of, validate_state
 from .symplectic import (
     STRUCTURAL_TOL,
+    _check_square_even,
     _check_unitary,
+    _is_symmetric,
     block_diag,
     is_passive,
     is_symplectic,
@@ -51,9 +52,7 @@ class GaussianChannel:
         self.X = np.asarray(self.X, dtype=float)
         self.Y = np.asarray(self.Y, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-        dim = self.X.shape[0]
-        if self.X.shape != (dim, dim) or dim % 2 != 0:
-            raise ValueError(f"X must be square with even dimension, got {self.X.shape}")
+        dim = 2 * _check_square_even(self.X, "X")
         if self.Y.shape != (dim, dim):
             raise ValueError(f"Y must match X, got {self.Y.shape} vs {self.X.shape}")
         if self.d.shape != (dim,):
@@ -150,12 +149,22 @@ class GTOSpec:
             )
         for gto_sec, freq_sec in zip(self.sectors, self.spectrum.sectors):
             d = freq_sec.multiplicity
+            if len(freq_sec.mode_indices) != d:
+                raise ValueError(
+                    f"multiplicity {d} needs {d} mode_indices, got {freq_sec.mode_indices}"
+                )
             _check_unitary(gto_sec.Z, STRUCTURAL_TOL, "Z")
             _check_unitary(gto_sec.W, STRUCTURAL_TOL, "W")
             if gto_sec.Z.shape != (d, d) or gto_sec.W.shape != (d, d):
                 raise ValueError(f"sector blocks must be {d}x{d} for multiplicity {d}")
             if gto_sec.thetas.shape != (d,):
                 raise ValueError(f"sector needs {d} loss angles, got {gto_sec.thetas.shape}")
+        n = self.spectrum.n_modes
+        if sorted(i for sec in self.spectrum.sectors for i in sec.mode_indices) != list(range(n)):
+            raise ValueError(f"sector mode_indices must partition the modes 0..{n - 1}")
+        S = self.spectrum.S
+        if S.shape != (2 * n, 2 * n) or not is_symplectic(S):
+            raise ValueError(f"spectrum.S must be a {2 * n}x{2 * n} symplectic matrix")
 
     def to_dict(self) -> dict:
         return {
@@ -213,8 +222,7 @@ def validate_channel(ch: GaussianChannel, tol: float = CHANNEL_TOL) -> bool:
     ``Y + i Omega - i X Omega X^T`` has smallest eigenvalue >= -tol.
     """
     X, Y = ch.X, ch.Y
-    scale = max(1.0, np.abs(Y).max())
-    if np.abs(Y - Y.T).max() > tol * scale:
+    if not _is_symmetric(Y, tol):
         return False
     Om = omega(ch.n_modes)
     cp = Y + 1j * Om - 1j * X @ Om @ X.T
@@ -296,8 +304,7 @@ def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNE
 def _check_bath(nu_b: float, S: np.ndarray | None) -> np.ndarray:
     """Refuse a non-finite or sub-vacuum ``nu_b`` and a ``S`` that is not a
     2x2 symplectic; return ``S`` as a float array (identity when None)."""
-    if not 1.0 <= nu_b < math.inf:
-        raise ValueError(f"nu_b must be finite and >= 1, got {nu_b}")
+    _check_nu(nu_b, "nu_b")
     if S is None:
         return np.eye(2)
     S = np.asarray(S, dtype=float)
@@ -350,19 +357,17 @@ def dilate_and_trace(
     Args:
         system_cm: 2n x 2n system covariance matrix.
         O: passive matrix on n + m modes.
-        bath_nus: m bath symplectic eigenvalues, each >= 1.
-        tol: passivity tolerance.
+        bath_nus: m bath symplectic eigenvalues, each finite and >= 1 - tol.
+        tol: passivity tolerance and slack on the bath eigenvalues.
 
     Returns:
         2n x 2n output covariance matrix.
     """
     system_cm = np.asarray(system_cm, dtype=float)
     bath_nus = np.asarray(bath_nus, dtype=float)
-    dim_s = system_cm.shape[0]
-    if system_cm.shape != (dim_s, dim_s) or dim_s % 2 != 0:
-        raise ValueError(f"system_cm must be square with even dimension, got {system_cm.shape}")
-    if np.any(bath_nus < 1.0 - tol):
-        raise ValueError("bath symplectic eigenvalues must be >= 1")
+    dim_s = 2 * _check_square_even(system_cm, "system_cm")
+    if not np.all((bath_nus >= 1.0 - tol) & (bath_nus < np.inf)):
+        raise ValueError(f"bath symplectic eigenvalues must be finite and not below 1: {bath_nus}")
     if not is_passive(O, tol):
         raise ValueError("O must be a passive (orthogonal symplectic) matrix")
     if O.shape[0] != dim_s + 2 * len(bath_nus):

@@ -116,7 +116,7 @@ def cmd_validate(args) -> int:
     valid = validate_state(state, tol=args.tol_structural)
     payload = {"valid": valid}
     if valid:
-        payload["symplectic_eigenvalues"] = symplectic_eigenvalues(state.cm).tolist()
+        payload["symplectic_eigenvalues"] = symplectic_eigenvalues(state.cm, args.tol_structural).tolist()
     _write_json(args, payload)
     return EXIT_OK if valid else EXIT_NEGATIVE
 
@@ -128,7 +128,7 @@ def cmd_feasible(args) -> int:
     else:
         result = squeezed_bath_feasible(query, tol=args.tol_feasibility)
     payload = result.to_dict()
-    payload["bounds"] = dict(necessary_bounds(query))
+    payload["bounds"] = dict(necessary_bounds(query, tol=args.tol_feasibility))
     _write_json(args, payload)
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 

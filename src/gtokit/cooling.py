@@ -22,7 +22,7 @@ from .channels import (
     _symplectic_inverse,
     dilate_and_trace,
 )
-from .states import GaussianState, entropy, nu_of, rotation, squeezer, validate_state
+from .states import GaussianState, _check_nu, entropy, nu_of, rotation, squeezer, validate_state
 from .symplectic import is_symplectic
 
 BOUND_TOL = 1e-9
@@ -103,8 +103,8 @@ def _nu_of_cm(cm: np.ndarray) -> float:
 
 def entropy_lower_bound(nu_0: float, nu_b: float) -> float:
     """Entropy floor for single-mode protocols: ``entropy(min(nu_0, nu_b))``."""
-    if not (1.0 <= nu_0 < math.inf and 1.0 <= nu_b < math.inf):
-        raise ValueError("symplectic eigenvalues must be finite and >= 1")
+    _check_nu(nu_0, "nu_0")
+    _check_nu(nu_b, "nu_b")
     return entropy(min(nu_0, nu_b))
 
 

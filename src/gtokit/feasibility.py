@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _check_nu
+
 FEASIBILITY_TOL = 1e-9
 
 REASON_OK = "ok"
@@ -41,9 +43,7 @@ class TransformQuery:
 
     def __post_init__(self):
         for name in ("nu_i", "z_i", "nu_f", "z_f", "nu_b"):
-            value = getattr(self, name)
-            if not 1.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 1, got {value}")
+            _check_nu(getattr(self, name), name)
         if self.vartheta is not None and not math.isfinite(self.vartheta):
             raise ValueError(f"vartheta must be finite, got {self.vartheta}")
 

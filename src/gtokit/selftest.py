@@ -299,18 +299,30 @@ def suite_thermo_agreement(seed: int, quick: bool = False) -> SuiteResult:
     )
 
 
-_SUITES = (
-    suite_oracle_equivalence,
-    suite_williamson_roundtrip,
-    suite_cs_roundtrip,
-    suite_isotropy,
-    suite_feasibility_soundness,
-    suite_cooling_bound,
-    suite_thermo_agreement,
-)
+_SUITES = {
+    "oracle-equivalence": suite_oracle_equivalence,
+    "williamson-roundtrip": suite_williamson_roundtrip,
+    "cs-roundtrip": suite_cs_roundtrip,
+    "isotropy-invariance": suite_isotropy,
+    "feasibility-soundness": suite_feasibility_soundness,
+    "cooling-bound": suite_cooling_bound,
+    "thermo-agreement": suite_thermo_agreement,
+}
+
+
+def _run_suite(name: str, suite, seed: int, quick: bool) -> SuiteResult:
+    """``suite(seed, quick)``, with a ``ValueError`` it raises reported as a failure.
+
+    Inside a suite the inputs are generated, so a library refusal means the
+    property broke, not that the user gave bad input.
+    """
+    try:
+        return suite(seed, quick)
+    except ValueError as exc:
+        return SuiteResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def run_all(seed: int, quick: bool = False) -> list:
     """Run every suite on sub-seeds of ``seed``; returns a list of SuiteResult."""
     rng = np.random.default_rng(seed)
-    return [suite(_subseed(rng), quick) for suite in _SUITES]
+    return [_run_suite(name, suite, _subseed(rng), quick) for name, suite in _SUITES.items()]

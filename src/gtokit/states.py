@@ -12,6 +12,7 @@ import numpy as np
 from .symplectic import (
     STRUCTURAL_TOL,
     _check_spd,
+    _is_symmetric,
     symplectic_eigenvalues,
     williamson,
 )
@@ -180,21 +181,24 @@ class FrequencySpectrum:
 def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     """Check that the covariance matrix describes a physical Gaussian state.
 
-    True iff the first moments and ``cm`` are finite, ``cm`` is symmetric
-    within ``tol``, positive definite, and its smallest symplectic eigenvalue
-    is at least ``1 - tol`` (the uncertainty bound).
+    True iff the first moments are finite, ``symplectic_eigenvalues(cm, tol)``
+    accepts ``cm`` (finite, symmetric within ``tol``, positive definite), and
+    the smallest symplectic eigenvalue is at least ``1 - tol`` (the uncertainty bound).
     """
-    cm = state.cm
-    if cm.shape != (2 * state.n_modes, 2 * state.n_modes):
+    if state.cm.shape != (2 * state.n_modes, 2 * state.n_modes):
         raise ValueError("covariance matrix shape does not match n_modes")
-    if not (np.isfinite(cm).all() and np.isfinite(state.first_moments).all()):
+    if not np.isfinite(state.first_moments).all():
         return False
-    scale = max(1.0, np.abs(cm).max())
-    if np.abs(cm - cm.T).max() > tol * scale:
+    try:
+        return bool(symplectic_eigenvalues(state.cm, tol).min() >= 1.0 - tol)
+    except ValueError:
         return False
-    if np.linalg.eigvalsh(cm).min() <= 0:
-        return False
-    return bool(symplectic_eigenvalues(cm).min() >= 1.0 - tol)
+
+
+def _check_nu(value: float, name: str) -> None:
+    """Refuse a symplectic eigenvalue (or squeezing factor) that is NaN, infinite or below 1."""
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
 
 def nu_of(beta: float, omega: float) -> float:
@@ -261,8 +265,7 @@ def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> Single
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (2, 2):
         raise ValueError(f"expected a 2x2 covariance matrix, got {cm.shape}")
-    scale = max(1.0, np.abs(cm).max())
-    if np.abs(cm - cm.T).max() > tol * scale:
+    if not _is_symmetric(cm, tol):
         raise ValueError("covariance matrix must be symmetric")
     det = float(np.linalg.det(cm))
     if det <= 0 or cm[0, 0] <= 0:
@@ -286,12 +289,11 @@ def entropy(nu: float) -> float:
 
     ``(nu+1)/2 ln((nu+1)/2) - (nu-1)/2 ln((nu-1)/2)``; zero for pure states.
     """
-    if nu < 1.0:
-        raise ValueError("symplectic eigenvalue must be >= 1")
+    _check_nu(nu, "nu")
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    if dn <= 0.0:
-        return up * math.log(up) if up > 0 else 0.0
+    if dn == 0.0:
+        return 0.0
     return up * math.log(up) - dn * math.log(dn)
 
 
@@ -302,8 +304,7 @@ def free_energy(nu: float, z: float, beta: float, omega: float) -> float:
     (beta, omega) the minimum over nu sits at the bath value
     ``nu_of(beta, omega)``.
     """
-    if z < 1.0:
-        raise ValueError("squeezing parameter z must be >= 1")
+    _check_nu(z, "z")
     if not (beta > 0 and omega > 0):
         raise ValueError("beta and omega must be positive")
     return 0.25 * omega * nu * (z + 1.0 / z) - entropy(nu) / beta

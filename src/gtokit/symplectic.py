@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 STRUCTURAL_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-8
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _SWAP_2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -80,7 +79,6 @@ def is_symplectic(S: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
 def is_passive(S: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """True iff ``S`` is symplectic and orthogonal (``S S^T = 1``) within ``tol``."""
     S = np.asarray(S, dtype=float)
-    _check_square_even(S, "S")
     if not is_symplectic(S, tol):
         return False
     return bool(np.abs(S @ S.T - np.eye(S.shape[0])).max() <= tol)
@@ -147,11 +145,18 @@ class WilliamsonForm:
         return self.S @ self.normal_form @ self.S.T
 
 
+def _is_symmetric(M: np.ndarray, tol: float) -> bool:
+    """``|M - M^T| <= tol * max(1, max |M|)`` entrywise; False for a NaN or infinite entry."""
+    return bool(np.abs(M - M.T).max() <= tol * max(1.0, np.abs(M).max()))
+
+
 def _check_spd(P: np.ndarray, tol: float, name: str = "P") -> np.ndarray:
+    """Refuse ``P`` unless square, even, finite, symmetric within ``tol`` and positive definite."""
     P = np.asarray(P, dtype=float)
     _check_square_even(P, name)
-    scale = max(1.0, np.abs(P).max())
-    if np.abs(P - P.T).max() > tol * scale:
+    if not np.isfinite(P).all():
+        raise ValueError(f"{name} must be finite")
+    if not _is_symmetric(P, tol):
         raise ValueError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(P).min() <= 0:
         raise ValueError(f"{name} must be positive definite")

@@ -97,6 +97,8 @@ def level_cutoff(*betas: float, E: float) -> int:
     most ``e^{-28} ~ 6.9e-13``, below ``TAIL_TOL``, so :func:`geometric_probs`
     accepts all of them at ``N`` (and at any larger cutoff).
     """
+    if not (E > 0 and all(beta > 0 for beta in betas)):
+        raise ValueError("beta and E must be positive")
     return math.ceil(28.0 / (min(betas) * E))
 
 

@@ -67,6 +67,10 @@ class TestValidateChannel:
         ch = GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
         assert not validate_channel(ch)
 
+    def test_non_finite_noise_fails(self):
+        ch = GaussianChannel(np.eye(2), np.diag([math.nan, 1.0]), np.zeros(2))
+        assert not validate_channel(ch)
+
 
 class TestGtoToChannel:
     def test_identity_spec(self):
@@ -148,6 +152,25 @@ class TestGtoToChannel:
             GTOSpec(spectrum=spectrum, beta=1.0, sectors=[GTOSector(np.eye(1), [0.1], np.eye(1))])
         with pytest.raises(ValueError):
             GTOSpec(spectrum=spectrum, beta=-1.0, sectors=[GTOSector(np.eye(2), [0.1, 0.2], np.eye(2))])
+
+    @pytest.mark.parametrize(
+        "S, sectors, match",
+        [
+            (2.0 * np.eye(2), ((1.0, 1, (0,)),), "symplectic"),
+            (np.eye(4), ((1.0, 1, (0,)),), "symplectic"),
+            (np.eye(4), ((1.0, 1, (0,)), (2.0, 1, (0,))), "partition"),
+            (np.eye(4), ((1.0, 1, (0,)), (2.0, 1, (2,))), "partition"),
+            (np.eye(4), ((1.0, 1, (0, 1)),), "mode_indices"),
+        ],
+        ids=[
+            "scaled-frame", "oversized-frame", "repeated-mode", "mode-out-of-range", "multiplicity-mismatch",
+        ],
+    )
+    def test_refuses_a_frame_that_is_not_one(self, S, sectors, match):
+        spectrum = FrequencySpectrum(S=S, sectors=tuple(FrequencySector(*sec) for sec in sectors))
+        blocks = [GTOSector(np.eye(1), [0.3], np.eye(1)) for _ in sectors]
+        with pytest.raises(ValueError, match=match):
+            GTOSpec(spectrum=spectrum, beta=1.0, sectors=blocks)
 
 
 class TestApplyChannel:
@@ -274,6 +297,11 @@ class TestDilateAndTrace:
             dilate_and_trace(np.eye(2), np.eye(4), [0.5])
         with pytest.raises(ValueError):
             dilate_and_trace(np.eye(2), np.eye(6), [2.0])
+
+    @pytest.mark.parametrize("nu_b", [math.nan, math.inf])
+    def test_rejects_non_finite_bath(self, nu_b):
+        with pytest.raises(ValueError, match="finite"):
+            dilate_and_trace(np.eye(2), np.eye(4), [nu_b])
 
 
 class TestDisplacedGto:

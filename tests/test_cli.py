@@ -44,6 +44,20 @@ def run_text(tmp_path, argv, payload):
         return rc, fh.read()
 
 
+def assert_refused(tmp_path, capsys, argv, payload):
+    """The CLI exits 2 with an ``error:`` line and prints nothing on stdout."""
+    in_path = write_payload(tmp_path, payload)
+    assert main(argv + ["--input", in_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+# Symmetric only to within 5e-9: physical at --tol-structural 1e-6 and at
+# the channel tolerance 1e-8, not at the structural default 1e-9.
+NEARLY_SYMMETRIC = [[2.0, 0.1 + 5e-9], [0.1, 1.0]]
+
+
 def state_payload(cm, first_moments=None):
     cm = np.asarray(cm, dtype=float)
     n = cm.shape[0] // 2
@@ -62,6 +76,13 @@ class TestValidate:
         rc, out = run_json(tmp_path, ["validate"], state_payload(0.5 * np.eye(2)))
         assert rc == 1
         assert out["valid"] is False
+
+    def test_structural_tolerance_reaches_the_eigenvalues(self, tmp_path):
+        argv = ["validate", "--tol-structural", "1e-6"]
+        rc, out = run_json(tmp_path, argv, state_payload(NEARLY_SYMMETRIC))
+        assert rc == 0
+        assert out["valid"] is True
+        assert out["symplectic_eigenvalues"] == pytest.approx([math.sqrt(1.99)], rel=1e-8)
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -96,6 +117,13 @@ class TestFeasible:
         rc, out = run_json(tmp_path, ["feasible"], payload)
         assert rc == 0
         assert out["p"] == pytest.approx(0.5, abs=1e-8)
+
+    def test_bounds_use_the_feasibility_tolerance(self, tmp_path):
+        payload = {"nu_i": 3.0, "z_i": 1.0, "nu_f": 1.9999, "z_f": 1.0, "nu_b": 2.0}
+        rc, out = run_json(tmp_path, ["feasible", "--tol-feasibility", "1e-3"], payload)
+        assert rc == 0
+        assert out["feasible"] is True
+        assert out["bounds"] == {"nu_f>=min(nu_i,nu_b)": True, "z_f<=z_i": True}
 
     def test_missing_key_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"nu_i": 2.0})
@@ -157,6 +185,19 @@ class TestApply:
         assert out["oracle_max_deviation"] <= 1e-8
         assert_allclose(out["cm"], np.diag([5.0, 1.25]), atol=1e-10)
 
+    def test_state_check_runs_at_the_channel_tolerance(self, tmp_path):
+        payload = {"state": state_payload(NEARLY_SYMMETRIC), "single_mode_gto": {"p": 0.5, "nu_b": 2.0}}
+        rc, out = run_json(tmp_path, ["apply"], payload)
+        assert rc == 0
+        cm = np.array(NEARLY_SYMMETRIC)
+        assert_allclose(out["cm"], 0.25 * (cm + cm.T) + np.eye(2), rtol=0, atol=1e-15)
+
+    def test_oracle_refuses_a_frame_that_is_not_symplectic(self, tmp_path, capsys):
+        gto = one_mode_gto_payload(theta=math.pi / 2)
+        gto["spectrum"]["S"] = (2.0 * np.eye(2)).tolist()
+        payload = {"state": state_payload(2.0 * np.eye(2)), "gto": gto}
+        assert_refused(tmp_path, capsys, ["apply", "--oracle"], payload)
+
     def test_oracle_needs_gto_payload(self, tmp_path, capsys):
         payload = {
             "state": state_payload(2.0 * np.eye(2)),
@@ -168,6 +209,13 @@ class TestApply:
     def test_missing_channel_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"state": state_payload(2.0 * np.eye(2))})
         assert main(["apply", "--input", in_path]) == 2
+
+    def test_scalar_x_exits_two(self, tmp_path, capsys):
+        payload = {
+            "state": state_payload(2.0 * np.eye(2)),
+            "channel": {"X": 1.0, "Y": np.zeros((2, 2)).tolist(), "d": [0.0, 0.0]},
+        }
+        assert_refused(tmp_path, capsys, ["apply"], payload)
 
     def test_noncp_channel_exits_two(self, tmp_path, capsys):
         payload = {
@@ -223,6 +271,11 @@ class TestCool:
         assert out["nu_achieved"] == pytest.approx(NU_AT_10, abs=1e-12)
         assert out["nu_ancilla"] == pytest.approx(NU_AT_10, abs=1e-12)
         assert_allclose(out["state"]["cm"], NU_AT_10 * np.eye(2), atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_adversary_refuses_an_overflowing_start(self, tmp_path, capsys):
+        # det(1e200 * identity) overflows, so the initial eigenvalue is inf
+        assert_refused(tmp_path, capsys, ["cool", "--adversary", "2"], {"nu0": 1e200, "nu_b": 2.0})
 
     def test_missing_nu_b_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"nu0": 5.0})
@@ -287,6 +340,14 @@ class TestThermoCurve:
         assert rc == 0
         assert len(text.strip().splitlines()) == 1 + 45 + 1  # header + breakpoints
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"beta_i": 1.0, "beta": 0.7, "E": 0}, {"beta_i": 0, "beta": 0.7, "E": 1.0}],
+        ids=["E=0", "beta_i=0"],
+    )
+    def test_zero_parameter_exits_two(self, tmp_path, capsys, payload):
+        assert_refused(tmp_path, capsys, ["thermo-curve"], payload)
+
     def test_inadequate_cutoff_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"beta_i": 1.0, "beta": 0.8, "E": 1.0, "N": 10})
         assert main(["thermo-curve", "--input", in_path]) == 2
@@ -331,6 +392,19 @@ class TestSelftest:
         lines = [ln for ln in out.splitlines() if ": PASS" in ln]
         assert len(lines) == 7
         assert "all suites passed" in out
+
+    def test_a_suite_that_raises_fails_the_run(self, capsys, monkeypatch):
+        from gtokit import selftest
+
+        def refuse(*args, **kwargs):
+            raise ValueError("planted refusal")
+
+        monkeypatch.setattr(selftest, "williamson", refuse)
+        assert main(["selftest", "--quick", "--seed", "3"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == list(selftest._SUITES)
+        assert lines[1] == "williamson-roundtrip: FAIL - raised ValueError: planted refusal"
+        assert sum(": PASS - " in ln for ln in lines) == 6
 
     def test_deterministic_given_seed(self, capsys):
         main(["selftest", "--quick", "--seed", "11"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gtokit.states import (
@@ -20,6 +22,54 @@ from gtokit.states import (
 from gtokit.symplectic import random_symplectic
 
 LN3 = 1.0986122886681098
+VALIDATION_TOLS = (1e-12, 1e-9, 1e-8, 1e-6)
+PLANTS = ("none", "asymmetry", "sub-vacuum", "nan", "indefinite")
+
+
+@st.composite
+def planted_cms(draw):
+    """A 1-3 mode CM ``S diag(nu) S^T`` with ``nu`` in [1, 5], and at most one planted fault.
+
+    The fault's parameters are drawn first: Hypothesis spreads early draws
+    evenly but pushes later ones towards their bounds.
+    """
+    plant = draw(st.sampled_from(PLANTS))
+    asymmetry = 10.0 ** draw(st.floats(-14.0, -4.0))  # relative to max |cm|
+    i, j = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    S = random_symplectic(n, draw(st.integers(0, 2**32 - 1)))
+    nus = draw(st.lists(st.floats(1.0, 5.0), min_size=n, max_size=n))
+    if plant == "sub-vacuum":
+        nus[i % n] = draw(st.floats(0.3, 0.99))
+    cm = S @ np.diag(np.repeat(nus, 2)) @ S.T
+    cm = 0.5 * (cm + cm.T)
+    i, j = i % (2 * n), (i + j) % (2 * n)
+    if plant == "asymmetry":
+        j = j if j != i else (i + 1) % (2 * n)  # off the diagonal
+        cm[i, j] += asymmetry * np.abs(cm).max()
+    elif plant == "nan":
+        cm[i, j] = math.nan
+    elif plant == "indefinite":
+        cm[i, i] = -cm[i, i]
+    return cm
+
+
+def reference_physical(cm, tol):
+    """Physicality of ``cm`` in plain numpy: finite, symmetric within ``tol``
+    times max(1, max |cm|), positive definite, and smallest symplectic
+    eigenvalue >= 1 - tol.  The eigenvalues are the positive spectrum of the
+    Hermitian matrix ``sigma^1/2 (i Omega) sigma^1/2``, ``sigma`` the symmetric part."""
+    if not np.isfinite(cm).all():
+        return False
+    if np.abs(cm - cm.T).max() > tol * max(1.0, np.abs(cm).max()):
+        return False
+    if np.linalg.eigvalsh(cm).min() <= 0:
+        return False
+    w, V = np.linalg.eigh(0.5 * (cm + cm.T))
+    root = (V * np.sqrt(w)) @ V.T
+    n = len(cm) // 2
+    Om = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    return bool(np.abs(np.linalg.eigvalsh(root @ (1j * Om) @ root)).min() >= 1.0 - tol)
 
 
 class TestValidateState:
@@ -39,6 +89,18 @@ class TestValidateState:
     def test_non_symmetric_cm_is_invalid(self):
         state = GaussianState(1, np.zeros(2), np.array([[2.0, 0.5], [0.0, 2.0]]))
         assert not validate_state(state)
+
+    def test_asymmetry_within_tol_gives_a_verdict(self):
+        state = GaussianState(1, np.zeros(2), np.array([[2.0, 0.1 + 5e-9], [0.1, 1.0]]))
+        assert validate_state(state, tol=1e-8)
+        assert not validate_state(state)
+
+    @given(cm=planted_cms())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_equals_the_numpy_statement(self, cm):
+        state = GaussianState(len(cm) // 2, np.zeros(len(cm)), cm)
+        for tol in VALIDATION_TOLS:
+            assert validate_state(state, tol) == reference_physical(cm, tol), tol
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -103,6 +165,10 @@ class TestThermalState:
             H = S @ np.diag(np.repeat(oms, 2)) @ S.T
             state = thermal_state(rng.uniform(0.2, 3.0), HamiltonianSpec(H=H))
             assert validate_state(state)
+
+    def test_rejects_non_finite_hamiltonian(self):
+        with pytest.raises(ValueError, match="H must be finite"):
+            HamiltonianSpec(H=np.array([[2.0, math.nan], [math.nan, 1.0]]))
 
     def test_rejects_nonpositive_hamiltonian(self):
         with pytest.raises(ValueError):
@@ -199,6 +265,11 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(0.9)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_refuses_non_finite(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite and >= 1"):
+            entropy(nu)
+
 
 class TestFreeEnergy:
     def test_ground_state_energy(self):
@@ -219,6 +290,8 @@ class TestFreeEnergy:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             free_energy(2.0, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="z must be finite"):
+            free_energy(2.0, math.inf, 1.0, 1.0)
         with pytest.raises(ValueError):
             free_energy(2.0, 1.0, -1.0, 1.0)
 

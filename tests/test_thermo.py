@@ -41,6 +41,11 @@ class TestGeometricProbs:
             assert math.exp(-beta * 1.7 * N) <= TAIL_TOL
             geometric_probs(beta, 1.7, N)
 
+    @pytest.mark.parametrize("betas, E", [((1.0, 0.7), 0.0), ((0.0, 0.7), 1.0), ((1.0, -0.5), 1.0)])
+    def test_level_cutoff_refuses_non_positive_inputs(self, betas, E):
+        with pytest.raises(ValueError, match="must be positive"):
+            level_cutoff(*betas, E=E)
+
     def test_loud_truncation(self):
         with pytest.raises(ValueError, match="tail mass"):
             geometric_probs(0.5, 1.0, 20)
