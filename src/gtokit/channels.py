@@ -218,11 +218,12 @@ class SingleModeGTO:
 def validate_channel(ch: GaussianChannel, tol: float = CHANNEL_TOL) -> bool:
     """Check complete positivity of a Gaussian map.
 
-    True iff ``Y`` is symmetric and the Hermitian matrix
-    ``Y + i Omega - i X Omega X^T`` has smallest eigenvalue >= -tol.
+    True iff ``X`` and ``d`` are finite, ``Y`` is symmetric and the
+    Hermitian matrix ``Y + i Omega - i X Omega X^T`` has smallest eigenvalue
+    >= -tol.
     """
     X, Y = ch.X, ch.Y
-    if not _is_symmetric(Y, tol):
+    if not (np.isfinite(X).all() and np.isfinite(ch.d).all() and _is_symmetric(Y, tol)):
         return False
     Om = omega(ch.n_modes)
     cp = Y + 1j * Om - 1j * X @ Om @ X.T

@@ -10,6 +10,7 @@ it is a two-mode operation outside the single-mode protocol class.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,27 +173,33 @@ def greedy_adversary(
 ) -> CoolingTrace:
     """Adversarial protocol search trying to beat the entropy floor.
 
-    Each round grid-searches the step parameters — squeeze factor
+    Each round searches a grid of step parameters — squeeze factor
     (``search_grid`` points log-spaced in [1, 10]), pre-squeeze rotation
     (32 points in [0, pi)) and channel weight p (64 points in [0, 1]) — and
     applies the combination minimizing the post-step symplectic eigenvalue.
     Rotations after the squeeze and the channel phase are omitted: neither
-    changes the output eigenvalue.  The grid determinant is evaluated as
-    ``p^2 det(cm) + p q tr(U cm U^T) + q^2`` with ``q = (1 - p) nu_b``, whose
-    first term is exactly the same for every unitary: at ``p = 1`` all
+    changes the output eigenvalue.
+
+    The search is exact: it picks the full grid's first ``argmin`` of
+    ``f_p(t) = (p^2 det(cm) + p q t) + q^2``, with ``q = (1 - p) nu_b`` and
+    ``t = tr(U cm U^T)``.  As ``p q >= 0`` and each operation is correctly
+    rounded, ``f_p`` is monotone non-decreasing in ``t``, so the first
+    minimizing p is found at the smallest ``t`` alone, and the unitary is the
+    first minimizer of that p's row.  At ``p = 1`` the row is constant: all
     unitaries tie exactly, and ``argmin`` keeps the first, the identity.
 
     Args:
         nu_0: initial symplectic eigenvalue (state starts unsqueezed).
         nu_b: bath symplectic eigenvalue.
-        n_steps: number of adversarial rounds.
-        search_grid: resolution of the squeeze-factor grid.
+        n_steps: number of adversarial rounds, an integer >= 1.
+        search_grid: resolution of the squeeze-factor grid, an integer >= 1.
 
     Returns:
         CoolingTrace of the greedy protocol.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    for value, name in ((n_steps, "n_steps"), (search_grid, "search_grid")):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     bound = entropy_lower_bound(nu_0, nu_b)
 
     zs = np.logspace(0.0, 1.0, search_grid)
@@ -205,25 +212,19 @@ def greedy_adversary(
     trace = [(nu_now, entropy(nu_now))]
     cos, sin = np.cos(phis), np.sin(phis)
     z2 = zs[:, None] ** 2
-    p = ps[:, None, None]
-    q = (1.0 - ps)[:, None, None] * nu_b
-    pp, pq, qq = p * p, p * q, q * q
-    # One grid buffer per call: fresh 256 KB temporaries each round would be
-    # served by mmap and page faults.
-    det = np.empty((ps.size, zs.size, phis.size))
+    q = (1.0 - ps) * nu_b
+    pp, pq, qq = ps * ps, ps * q, q * q
     for _ in range(n_steps):
         a, b, c = cm[0, 0], cm[0, 1], cm[1, 1]
         # Rotate by phi, then squeeze by z: diagonal entries of U cm U^T.
         a_r = cos**2 * a + 2.0 * cos * sin * b + sin**2 * c
         c_r = sin**2 * a - 2.0 * cos * sin * b + cos**2 * c
         tr_s = z2 * a_r[None, :] + c_r[None, :] / z2
-        # det of p * U cm U^T + q * identity over the grid; det(U cm U^T) = det(cm).
-        # Same operations in the same order as p*p*det(cm) + p*q*tr_s + q*q.
-        np.multiply(pq, tr_s[None], out=det)
-        np.add(pp * (a * c - b * b), det, out=det)
-        det += qq
-
-        k_p, k_z, k_phi = np.unravel_index(np.argmin(det), det.shape)
+        # det of p * U cm U^T + q * identity; det(U cm U^T) = det(cm).
+        det_cm = a * c - b * b
+        k_p = np.argmin(pp * det_cm + pq * tr_s.min() + qq)
+        row = pp[k_p] * det_cm + pq[k_p] * tr_s + qq[k_p]
+        k_z, k_phi = np.unravel_index(np.argmin(row), row.shape)
         U = squeezer(float(zs[k_z])) @ rotation(float(phis[k_phi]))
         X, Y = _single_mode_xy(float(ps[k_p]), 0.0, nu_b, eye, eye)
         cm, _ = _act(X, Y, _ZERO_2, U @ cm @ U.T, _ZERO_2)

@@ -71,6 +71,21 @@ class TestValidateChannel:
         ch = GaussianChannel(np.eye(2), np.diag([math.nan, 1.0]), np.zeros(2))
         assert not validate_channel(ch)
 
+    # "error": a non-finite X must be refused before the complete-positivity
+    # algebra, which would otherwise warn about invalid values.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_transfer_fails(self, bad):
+        ch = GaussianChannel(np.diag([bad, 1.0]), np.zeros((2, 2)), np.zeros(2))
+        assert not validate_channel(ch)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_displacement_fails(self, bad):
+        ch = GaussianChannel(np.eye(2), np.zeros((2, 2)), np.array([bad, 0.0]))
+        assert not validate_channel(ch)
+        with pytest.raises(ValueError, match="complete-positivity"):
+            apply_channel(ch, GaussianState.vacuum(1))
+
 
 class TestGtoToChannel:
     def test_identity_spec(self):

@@ -263,6 +263,20 @@ class TestGreedyAdversary:
         with pytest.raises(ValueError):
             greedy_adversary(0.9, 2.0, n_steps=1)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, "3", None, True])
+    def test_rejects_non_integer_steps(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            greedy_adversary(5.0, 2.0, n_steps)
+
+    @pytest.mark.parametrize("search_grid", [0, -3, 2.5, 16.0, True])
+    def test_rejects_bad_search_grid(self, search_grid):
+        with pytest.raises(ValueError, match="search_grid must be an integer >= 1"):
+            greedy_adversary(5.0, 2.0, 3, search_grid)
+
+    def test_accepts_numpy_integers(self):
+        trace = greedy_adversary(5.0, 2.0, np.int64(3), np.int32(4))
+        assert trace.nus.tolist() == greedy_adversary(5.0, 2.0, 3, 4).nus.tolist()
+
     @pytest.mark.parametrize("nu_0, nu_b", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)])
     def test_rejects_non_finite(self, nu_0, nu_b):
         with pytest.raises(ValueError, match="finite"):
@@ -307,7 +321,7 @@ def one_expression_adversary_nus(nu_0, nu_b, n_steps, search_grid=16):
 
 
 class TestGreedyAdversaryGrid:
-    """The in-place grid evaluation keeps the one expression's rounding."""
+    """The reduced search picks the same grid point as the full-grid argmin."""
 
     @pytest.mark.parametrize("n_steps", [10, 40])
     @pytest.mark.parametrize("nu_0, nu_b", [(5.0, 2.0), (1.5, 3.0), (3.0, 1.5), (1.2, 5.0)])
@@ -315,15 +329,23 @@ class TestGreedyAdversaryGrid:
         trace = greedy_adversary(nu_0, nu_b, n_steps)
         assert trace.nus.tolist() == one_expression_adversary_nus(nu_0, nu_b, n_steps)
 
+    # Ties: nu_0 = nu_b, and the vacuum on either side.
+    @pytest.mark.parametrize("search_grid", [1, 2, 7, 33])
+    @pytest.mark.parametrize("nu_0, nu_b", [(5.0, 2.0), (1.5, 3.0), (2.5, 2.5), (1.0, 3.0), (3.0, 1.0), (1.0, 1.0)])
+    def test_grid_sizes_equal_the_one_expression(self, nu_0, nu_b, search_grid):
+        trace = greedy_adversary(nu_0, nu_b, 40, search_grid)
+        assert trace.nus.tolist() == one_expression_adversary_nus(nu_0, nu_b, 40, search_grid)
+
     @settings(max_examples=40, deadline=None)
     @given(
         nu_0=st.floats(1.0, 6.0),
         nu_b=st.floats(1.0, 6.0),
         n_steps=st.integers(1, 40),
+        search_grid=st.integers(1, 40),
     )
-    def test_generated_traces_equal_the_one_expression(self, nu_0, nu_b, n_steps):
-        trace = greedy_adversary(nu_0, nu_b, n_steps)
-        assert trace.nus.tolist() == one_expression_adversary_nus(nu_0, nu_b, n_steps)
+    def test_generated_traces_equal_the_one_expression(self, nu_0, nu_b, n_steps, search_grid):
+        trace = greedy_adversary(nu_0, nu_b, n_steps, search_grid)
+        assert trace.nus.tolist() == one_expression_adversary_nus(nu_0, nu_b, n_steps, search_grid)
 
 
 class TestSidebandSwap:
