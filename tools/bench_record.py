@@ -2,12 +2,12 @@
 
     python3 tools/bench_record.py --out BENCH.json --workloads cooling-sweep --seeds 201 202 203
 
-Run from the root of a gtokit checkout.  Each (workload, seed) pair runs the
-``command`` of ``BENCHMARK.json`` once, untraced, for ``run_seconds`` seconds
-unless ``--seconds`` is given.  The output holds the checkout's
-``git describe``, the CPU count, the Python, numpy and scipy versions, the
-seeds, and per workload the median and quartiles of each end-to-end metric
-and the share of attempted operations that failed.
+It benchmarks the git checkout it sits in.  Each (workload, seed) pair runs
+the ``command`` of ``BENCHMARK.json`` once, untraced, for ``run_seconds``.
+The output holds the checkout's ``git describe``, the CPU count, the Python,
+numpy and scipy versions, the seeds, and per workload the median and
+quartiles of each end-to-end metric and the share of attempted operations
+that failed.
 """
 
 import argparse
@@ -37,7 +37,6 @@ def main() -> None:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args()
 
     names = [m["name"] for m in bench["end_to_end"]]
@@ -46,7 +45,7 @@ def main() -> None:
         runs = []
         for seed in args.seeds:
             cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
-                                      "--seconds", str(args.seconds), "--trace", "0"]
+                                      "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             out = subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout
             runs.append(json.loads(out.strip().splitlines()[-1]))
         summary[workload] = {name: quartiles([r["metrics"][name]["value"] for r in runs]) for name in names}
@@ -55,7 +54,7 @@ def main() -> None:
                               stdout=subprocess.PIPE, text=True).stdout.strip()
     record = {"git_describe": describe, "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
               "numpy": numpy.__version__, "scipy": scipy.__version__, "seeds": args.seeds,
-              "seconds": args.seconds, "workloads": summary}
+              "seconds": bench["run_seconds"], "workloads": summary}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
 
