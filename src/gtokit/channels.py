@@ -4,7 +4,7 @@ A Gaussian channel acts on covariance matrices as ``sigma -> X sigma X^T + Y``
 and on first moments as ``r -> X r + d``.  Thermal-operation channels come in
 a normal form: in the frame where the system Hamiltonian is a direct sum of
 frequency sectors, each sector independently undergoes passive optics, a
-per-mode loss ``cos(theta)`` into a thermal environment at the background
+per-mode loss ``cos(theta)`` into a thermal bath at the background
 temperature, and passive optics again.  ``oracle_apply`` is the brute-force
 alternative used as an oracle: explicit bath modes, a global passive
 transformation, and a partial trace by ``dilate_and_trace``.
@@ -346,9 +346,7 @@ def single_mode_gto(
     return GaussianChannel(X=X, Y=Y, d=np.zeros(2))
 
 
-def dilate_and_trace(
-    system_cm: np.ndarray, O: np.ndarray, bath_nus, tol: float = STRUCTURAL_TOL
-) -> np.ndarray:
+def dilate_and_trace(system_cm: np.ndarray, O: np.ndarray, bath_nus) -> np.ndarray:
     """Channel action via an explicit bath: append, transform, and pinch.
 
     Forms the joint covariance matrix ``system_cm + (direct sum of
@@ -357,9 +355,10 @@ def dilate_and_trace(
 
     Args:
         system_cm: 2n x 2n system covariance matrix.
-        O: passive matrix on n + m modes.
-        bath_nus: m bath symplectic eigenvalues, each finite and >= 1 - tol.
-        tol: passivity tolerance and slack on the bath eigenvalues.
+        O: passive matrix on n + m modes, checked with :func:`is_passive` at
+           ``STRUCTURAL_TOL``.
+        bath_nus: m bath symplectic eigenvalues, each finite and
+           >= 1 - ``STRUCTURAL_TOL``.
 
     Returns:
         2n x 2n output covariance matrix.
@@ -367,9 +366,9 @@ def dilate_and_trace(
     system_cm = np.asarray(system_cm, dtype=float)
     bath_nus = np.asarray(bath_nus, dtype=float)
     dim_s = 2 * _check_square_even(system_cm, "system_cm")
-    if not np.all((bath_nus >= 1.0 - tol) & (bath_nus < np.inf)):
+    if not np.all((bath_nus >= 1.0 - STRUCTURAL_TOL) & (bath_nus < np.inf)):
         raise ValueError(f"bath symplectic eigenvalues must be finite and not below 1: {bath_nus}")
-    if not is_passive(O, tol):
+    if not is_passive(O):
         raise ValueError("O must be a passive (orthogonal symplectic) matrix")
     if O.shape[0] != dim_s + 2 * len(bath_nus):
         raise ValueError(

@@ -14,7 +14,6 @@ verdict, 2 invalid input, 3 internal invariant breach.
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,6 +42,7 @@ from .states import (
     entropy,
     nu_of,
     single_mode_decompose,
+    squeezer,
     validate_state,
 )
 from .symplectic import (
@@ -59,15 +59,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BREACH = 3
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GTO_KIT_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
 
 
 def _refuse_constant(name: str):
@@ -170,13 +161,16 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _initial_state(payload: dict) -> GaussianState:
+    """The squeezed thermal start ``nu0 * squeezer(z0)`` of a ``cool`` payload."""
+    return GaussianState(1, np.zeros(2), float(payload["nu0"]) * squeezer(float(payload.get("z0", 1.0))))
+
+
 def cmd_cool(args) -> int:
     payload = _read_json(args)
     if args.sideband is not None:
-        nu0 = float(payload["nu0"])
-        z0 = float(payload.get("z0", 1.0))
+        state = _initial_state(payload)
         beta = float(payload["beta"])
-        state = GaussianState(1, np.zeros(2), nu0 * np.diag([z0, 1.0 / z0]))
         cooled, nu_achieved = sideband_swap(state, beta, args.sideband)
         _write_json(
             args,
@@ -191,12 +185,12 @@ def cmd_cool(args) -> int:
 
     nu_b = float(payload["nu_b"])
     if args.adversary is not None:
+        if args.adversary < 1:
+            raise ValueError(f"--adversary must be >= 1, got {args.adversary}")
         trace = greedy_adversary(float(payload["nu0"]), nu_b, args.adversary)
     else:
-        nu0 = float(payload["nu0"])
-        z0 = float(payload.get("z0", 1.0))
+        initial = _initial_state(payload)
         steps = [ProtocolStep.from_dict(s) for s in payload.get("steps", [])]
-        initial = GaussianState(1, np.zeros(2), nu0 * np.diag([z0, 1.0 / z0]))
         trace = run_protocol(initial, steps, nu_b)
 
     if args.json:
@@ -260,7 +254,7 @@ def cmd_decompose(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    results = run_all(_resolve_seed(args), quick=args.quick)
+    results = run_all(args.seed, quick=args.quick)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{res.name}: {status} - {res.detail}")
@@ -271,57 +265,55 @@ def cmd_selftest(args) -> int:
     return EXIT_BREACH
 
 
+# Tolerance flags: default and the checks each governs.
+_TOL_FLAGS = {
+    "--tol-structural": (STRUCTURAL_TOL, "symmetry/symplectic/unitarity checks"),
+    "--tol-feasibility": (FEASIBILITY_TOL, "feasibility consistency and range checks"),
+    "--tol-channel": (CHANNEL_TOL, "the channel complete-positivity check"),
+}
+
+
+def _json_subcommand(sub, name: str, func, help_text: str, *tol_flags: str) -> argparse.ArgumentParser:
+    """Subparser for ``func`` with ``--input``, ``--output`` and the tolerance flags it reads."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--input", metavar="FILE", help="input JSON file (default: stdin)")
+    p.add_argument("--output", metavar="FILE", help="output file (default: stdout)")
+    for flag in tol_flags:
+        default, checks = _TOL_FLAGS[flag]
+        p.add_argument(
+            flag, type=float, default=default, metavar="TOL", help=f"tolerance for {checks} (default: %(default)s)"
+        )
+    p.set_defaults(func=func)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtokit",
         description="Gaussian thermal operations: validity, feasibility, "
         "channel simulation, cooling bounds, thermo-majorization.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input JSON file (default: stdin)")
-    common.add_argument("--output", help="output file (default: stdout)")
-    common.add_argument("--seed", type=int, help="RNG seed (fallback: GTO_KIT_SEED, then built-in)")
-    common.add_argument(
-        "--tol-structural", type=float, default=STRUCTURAL_TOL,
-        help="tolerance for symmetry/symplectic/unitarity checks",
-    )
-    common.add_argument(
-        "--tol-channel", type=float, default=CHANNEL_TOL,
-        help="tolerance for the channel complete-positivity check",
-    )
-    common.add_argument(
-        "--tol-feasibility", type=float, default=FEASIBILITY_TOL,
-        help="tolerance for feasibility consistency and range checks",
-    )
-
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a Gaussian state")
-    p.set_defaults(func=cmd_validate)
+    _json_subcommand(sub, "validate", cmd_validate, "check a Gaussian state", "--tol-structural")
+    _json_subcommand(sub, "feasible", cmd_feasible, "single-mode transformation query", "--tol-feasibility")
 
-    p = sub.add_parser("feasible", parents=[common], help="single-mode transformation query")
-    p.set_defaults(func=cmd_feasible)
-
-    p = sub.add_parser("apply", parents=[common], help="apply a channel to a state")
+    p = _json_subcommand(sub, "apply", cmd_apply, "apply a channel to a state", "--tol-channel")
     p.add_argument(
         "--oracle", action="store_true",
         help="also run the explicit-dilation oracle and report the deviation",
     )
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("cool", parents=[common], help="run a cooling protocol")
+    p = _json_subcommand(sub, "cool", cmd_cool, "run a cooling protocol")
     p.add_argument("--adversary", type=int, metavar="N", help="greedy adversarial search, N rounds")
     p.add_argument("--sideband", type=float, metavar="OMEGA", help="swap with a thermal ancilla at this frequency")
     p.add_argument("--json", action="store_true", help="emit the trace as JSON instead of CSV")
-    p.set_defaults(func=cmd_cool)
 
-    p = sub.add_parser("thermo-curve", parents=[common], help="export a thermo-majorization curve as CSV")
-    p.set_defaults(func=cmd_thermo_curve)
+    _json_subcommand(sub, "thermo-curve", cmd_thermo_curve, "export a thermo-majorization curve as CSV")
+    _json_subcommand(sub, "decompose", cmd_decompose, "normal forms of a CM or unitary", "--tol-structural")
 
-    p = sub.add_parser("decompose", parents=[common], help="normal forms of a CM or unitary")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("selftest", parents=[common], help="run the built-in property suites")
+    p = sub.add_parser("selftest", help="run the built-in property suites; reports on stdout")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default: %(default)s)")
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
     p.set_defaults(func=cmd_selftest)
 

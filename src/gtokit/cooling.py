@@ -109,13 +109,7 @@ def entropy_lower_bound(nu_0: float, nu_b: float) -> float:
     return entropy(min(nu_0, nu_b))
 
 
-def run_protocol(
-    initial: GaussianState,
-    steps,
-    nu_b: float,
-    S: np.ndarray | None = None,
-    tol: float = BOUND_TOL,
-) -> CoolingTrace:
+def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | None = None) -> CoolingTrace:
     """Run an alternating unitary / partial-thermalization protocol.
 
     Inputs are checked once, on entry: ``initial`` with ``validate_state``,
@@ -132,11 +126,11 @@ def run_protocol(
         nu_b: bath symplectic eigenvalue shared by all thermalization steps.
         S: normal-mode symplectic of the thermalization channel (identity
            when omitted).
-        tol: slack used when flagging a bound violation.
 
     Returns:
         CoolingTrace with the entropy floor ``entropy(min(nu_0, nu_b))`` and
-        a ``violated`` flag that stays False on every physical run.
+        a ``violated`` flag (an entropy more than ``BOUND_TOL`` below the
+        floor) that stays False on every physical run.
 
     Raises:
         ValueError: on invalid input, or if rounding makes a step's output
@@ -164,7 +158,7 @@ def run_protocol(
         nu = _nu_of_det(det)
         trace.append((nu, entropy(nu)))
 
-    violated = bool(any(ent < bound - tol for _, ent in trace))
+    violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))
     return CoolingTrace(steps=trace, bound=bound, violated=violated)
 
 
@@ -248,7 +242,7 @@ def sideband_swap(
     single-mode floor is actually done.
 
     Args:
-        system: single-mode state to cool.
+        system: single-mode state to cool, checked with ``validate_state``.
         beta: inverse temperature of the ancilla.
         omega_ancilla: ancilla frequency, > 0.
 
@@ -257,6 +251,8 @@ def sideband_swap(
     """
     if system.n_modes != 1:
         raise ValueError("sideband swap cools a single system mode")
+    if not validate_state(system):
+        raise ValueError("initial state has an invalid covariance matrix")
     nu_a = nu_of(beta, omega_ancilla)
     out_cm = dilate_and_trace(system.cm, _SWAP_4, [nu_a])
     out = GaussianState(1, np.zeros(2), out_cm)

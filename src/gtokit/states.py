@@ -212,21 +212,19 @@ def nu_of(beta: float, omega: float) -> float:
     return 1.0 / math.tanh(0.5 * beta * omega)
 
 
-def normal_mode_spectrum(
-    ham: HamiltonianSpec, freq_tol: float = DEFAULT_FREQ_TOL
-) -> FrequencySpectrum:
+def normal_mode_spectrum(ham: HamiltonianSpec) -> FrequencySpectrum:
     """Decompose a Hamiltonian matrix into frequency sectors.
 
     Williamson-decomposes ``H`` and groups normal-mode frequencies that agree
-    within relative tolerance ``freq_tol`` into degenerate sectors; the sector
-    frequency is the group mean.
+    within relative tolerance ``DEFAULT_FREQ_TOL`` into degenerate sectors;
+    the sector frequency is the group mean.
     """
     form = williamson(ham.H)
     freqs = form.nus  # descending
     sectors = []
     start = 0
     for j in range(1, len(freqs) + 1):
-        if j == len(freqs) or abs(freqs[j] - freqs[start]) > freq_tol * abs(freqs[start]):
+        if j == len(freqs) or abs(freqs[j] - freqs[start]) > DEFAULT_FREQ_TOL * abs(freqs[start]):
             group = freqs[start:j]
             sectors.append(
                 FrequencySector(

@@ -68,20 +68,20 @@ def _check_square_even(M: np.ndarray, name: str = "matrix") -> int:
     return M.shape[0] // 2
 
 
-def is_symplectic(S: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``S Omega S^T = Omega`` entrywise within ``tol``."""
+def is_symplectic(S: np.ndarray) -> bool:
+    """True iff ``S Omega S^T = Omega`` entrywise within ``STRUCTURAL_TOL``."""
     S = np.asarray(S, dtype=float)
     n = _check_square_even(S, "S")
     Om = omega(n)
-    return bool(np.abs(S @ Om @ S.T - Om).max() <= tol)
+    return bool(np.abs(S @ Om @ S.T - Om).max() <= STRUCTURAL_TOL)
 
 
-def is_passive(S: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``S`` is symplectic and orthogonal (``S S^T = 1``) within ``tol``."""
+def is_passive(S: np.ndarray) -> bool:
+    """True iff ``S`` is symplectic and orthogonal (``S S^T = 1``) within ``STRUCTURAL_TOL``."""
     S = np.asarray(S, dtype=float)
-    if not is_symplectic(S, tol):
+    if not is_symplectic(S):
         return False
-    return bool(np.abs(S @ S.T - np.eye(S.shape[0])).max() <= tol)
+    return bool(np.abs(S @ S.T - np.eye(S.shape[0])).max() <= STRUCTURAL_TOL)
 
 
 def _check_unitary(U: np.ndarray, tol: float, name: str = "U") -> np.ndarray:
@@ -94,7 +94,7 @@ def _check_unitary(U: np.ndarray, tol: float, name: str = "U") -> np.ndarray:
     return U
 
 
-def unitary_to_passive(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def unitary_to_passive(U: np.ndarray) -> np.ndarray:
     """Real orthogonal symplectic matrix acting on quadratures as ``U`` acts on modes.
 
     The map is a group isomorphism: it sends products to products and the
@@ -102,29 +102,28 @@ def unitary_to_passive(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray
     [[cos phi, sin phi], [-sin phi, cos phi]].
 
     Args:
-        U: n x n unitary matrix.
-        tol: unitarity tolerance for input validation.
+        U: n x n unitary matrix, unitary within ``STRUCTURAL_TOL``.
 
     Returns:
         2n x 2n real orthogonal symplectic matrix in mode-major ordering.
     """
-    U = _check_unitary(U, tol)
+    U = _check_unitary(U, STRUCTURAL_TOL)
     return np.kron(U.real, np.eye(2)) + np.kron(U.imag, _OMEGA_1)
 
 
-def passive_to_unitary(K: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def passive_to_unitary(K: np.ndarray) -> np.ndarray:
     """Inverse of :func:`unitary_to_passive`.
 
     Args:
-        K: 2n x 2n passive (orthogonal symplectic) matrix.
-        tol: passivity tolerance for input validation.
+        K: 2n x 2n passive (orthogonal symplectic) matrix, checked with
+           :func:`is_passive` at ``STRUCTURAL_TOL``.
 
     Returns:
         n x n complex unitary with ``unitary_to_passive(U) == K``.
     """
     K = np.asarray(K, dtype=float)
     _check_square_even(K, "K")
-    if not is_passive(K, tol):
+    if not is_passive(K):
         raise ValueError("K is not a passive (orthogonal symplectic) matrix")
     return K[0::2, 0::2] + 1j * K[0::2, 1::2]
 
@@ -232,7 +231,7 @@ def symplectic_eigenvalues(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.nda
     return np.sort(ev)[::-1][::2].copy()
 
 
-def triangularize_offdiagonal(U: np.ndarray, n: int, m: int, tol: float = STRUCTURAL_TOL):
+def triangularize_offdiagonal(U: np.ndarray, n: int, m: int):
     """Compress the off-diagonal blocks of a unitary into leading triangles.
 
     For an (n+m)-dimensional unitary ``U`` with ``m >= n``, returns bath-side
@@ -244,7 +243,7 @@ def triangularize_offdiagonal(U: np.ndarray, n: int, m: int, tol: float = STRUCT
     n of its modes to the system.
 
     Args:
-        U: (n+m) x (n+m) unitary.
+        U: (n+m) x (n+m) unitary, unitary within ``STRUCTURAL_TOL``.
         n: system block size.
         m: bath block size, m >= n.
 
@@ -255,7 +254,7 @@ def triangularize_offdiagonal(U: np.ndarray, n: int, m: int, tol: float = STRUCT
 
     if m < n:
         raise ValueError(f"bath block must be at least as large as system (m={m} < n={n})")
-    U = _check_unitary(U, tol)
+    U = _check_unitary(U, STRUCTURAL_TOL)
     if U.shape[0] != n + m:
         raise ValueError(f"U has dimension {U.shape[0]}, expected n+m={n + m}")
 
@@ -338,7 +337,7 @@ def cosine_sine_decompose(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> CosineS
     return CosineSineForm(W=W, X=X, Z=Z, Y=Y, thetas=thetas)
 
 
-def build_isotropy_element(multiplicities, blocks, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def build_isotropy_element(multiplicities, blocks) -> np.ndarray:
     """Assemble a passive matrix preserving a sectored harmonic normal form.
 
     Given per-sector unitary blocks, returns the direct sum of their passive
@@ -349,7 +348,8 @@ def build_isotropy_element(multiplicities, blocks, tol: float = STRUCTURAL_TOL) 
 
     Args:
         multiplicities: number of modes in each frequency sector.
-        blocks: one unitary per sector, with matching dimension.
+        blocks: one unitary per sector, with matching dimension, each
+            unitary within ``STRUCTURAL_TOL``.
 
     Returns:
         Real passive matrix of dimension ``2 * sum(multiplicities)``.
@@ -361,7 +361,7 @@ def build_isotropy_element(multiplicities, blocks, tol: float = STRUCTURAL_TOL) 
         block = np.asarray(block, dtype=complex)
         if block.shape != (d, d):
             raise ValueError(f"sector block has shape {block.shape}, expected ({d}, {d})")
-        parts.append(unitary_to_passive(block, tol))
+        parts.append(unitary_to_passive(block))
     return block_diag(*parts)
 
 
@@ -380,12 +380,12 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_symplectic(n_modes: int, seed: int, max_squeeze: float = 2.0) -> np.ndarray:
+def random_symplectic(n_modes: int, seed: int) -> np.ndarray:
     """Random symplectic matrix ``K1 @ squeeze @ K2``, deterministic per seed.
 
     The two passive factors are Haar unitaries in passive representation and
     the middle factor squeezes each mode by a factor drawn log-uniformly from
-    [1/max_squeeze, max_squeeze].
+    [1/2, 2].
     """
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
@@ -393,7 +393,7 @@ def random_symplectic(n_modes: int, seed: int, max_squeeze: float = 2.0) -> np.n
     seeds = rng.integers(0, 2**63 - 1, size=2)
     K1 = unitary_to_passive(random_unitary(n_modes, int(seeds[0])))
     K2 = unitary_to_passive(random_unitary(n_modes, int(seeds[1])))
-    r = rng.uniform(-np.log(max_squeeze), np.log(max_squeeze), size=n_modes)
+    r = rng.uniform(-np.log(2.0), np.log(2.0), size=n_modes)
     stretch = np.empty(2 * n_modes)
     stretch[0::2] = np.exp(r)
     stretch[1::2] = np.exp(-r)

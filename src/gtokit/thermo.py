@@ -61,30 +61,29 @@ class ThermoCurve:
         return np.interp(x, self.xs, self.ys)
 
 
-def geometric_probs(beta: float, E: float, N: int, tail_tol: float = TAIL_TOL) -> GeometricDist:
+def geometric_probs(beta: float, E: float, N: int) -> GeometricDist:
     """Geometric level populations ``(1 - e^{-beta E}) e^{-beta E n}``, truncated at N.
 
     Args:
         beta: inverse temperature, > 0.
         E: level spacing, > 0.
         N: number of retained levels, >= 2.
-        tail_tol: largest tolerable truncated tail mass ``e^{-beta E N}``.
 
     Returns:
         GeometricDist renormalized to unit total mass.
 
     Raises:
-        ValueError: if the cutoff leaves more than ``tail_tol`` of tail mass;
-            truncation is never silent.
+        ValueError: if the cutoff leaves a tail mass ``e^{-beta E N}`` above
+            ``TAIL_TOL``; truncation is never silent.
     """
     if not (beta > 0 and E > 0):
         raise ValueError("beta and E must be positive")
     if N < 2:
         raise ValueError("need at least 2 levels")
     tail = math.exp(-beta * E * N)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise ValueError(
-            f"cutoff N={N} leaves tail mass {tail:.3e} > {tail_tol:.3e}; increase N"
+            f"cutoff N={N} leaves tail mass {tail:.3e} > {TAIL_TOL:.3e}; increase N"
         )
     probs = (1.0 - math.exp(-beta * E)) * np.exp(-beta * E * np.arange(N))
     return GeometricDist(beta=beta, E=E, cutoff=N, probs=probs / probs.sum())
@@ -142,9 +141,9 @@ def dominance_margin(a: ThermoCurve, b: ThermoCurve) -> float:
     return float(np.min(a.at(grid) - b.at(grid)))
 
 
-def curve_dominates(a: ThermoCurve, b: ThermoCurve, tol: float = DOMINANCE_TOL) -> bool:
-    """True iff curve ``a`` lies everywhere above curve ``b`` (within ``tol``)."""
-    return dominance_margin(a, b) >= -tol
+def curve_dominates(a: ThermoCurve, b: ThermoCurve) -> bool:
+    """True iff curve ``a`` lies everywhere above curve ``b`` (within ``DOMINANCE_TOL``)."""
+    return dominance_margin(a, b) >= -DOMINANCE_TOL
 
 
 def cross_check(beta_i: float, beta_f: float, beta: float, E: float, N: int) -> tuple:

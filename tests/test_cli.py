@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gtokit.cli import main
+from gtokit.cli import _build_parser, main
 from gtokit.symplectic import random_unitary
 
 LN3 = 1.0986122886681098
@@ -45,12 +46,13 @@ def run_text(tmp_path, argv, payload):
 
 
 def assert_refused(tmp_path, capsys, argv, payload):
-    """The CLI exits 2 with an ``error:`` line and prints nothing on stdout."""
+    """The CLI exits 2 with an ``error:`` line and prints nothing on stdout; returns stderr."""
     in_path = write_payload(tmp_path, payload)
     assert main(argv + ["--input", in_path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    return captured.err
 
 
 # Symmetric only to within 5e-9: physical at --tol-structural 1e-6 and at
@@ -277,6 +279,22 @@ class TestCool:
         # det(1e200 * identity) overflows, so the initial eigenvalue is inf
         assert_refused(tmp_path, capsys, ["cool", "--adversary", "2"], {"nu0": 1e200, "nu_b": 2.0})
 
+    @pytest.mark.parametrize("argv", [["cool"], ["cool", "--sideband", "3"]], ids=["protocol", "sideband"])
+    @pytest.mark.parametrize("z0", [0.0, -2.0])
+    def test_non_positive_squeeze_exits_two(self, tmp_path, capsys, argv, z0):
+        # z0 = 0 once died in 1 / z0 with a traceback and exit 1
+        err = assert_refused(tmp_path, capsys, argv, {"nu0": 2.0, "z0": z0, "nu_b": 2.0, "beta": 1.0})
+        assert "squeeze factor must be positive" in err
+
+    def test_sideband_refuses_an_unphysical_start(self, tmp_path, capsys):
+        err = assert_refused(tmp_path, capsys, ["cool", "--sideband", "3"], {"nu0": 0.2, "beta": 1.0})
+        assert "initial state has an invalid covariance matrix" in err
+
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    def test_adversary_rounds_below_one_name_the_flag(self, tmp_path, capsys, rounds):
+        err = assert_refused(tmp_path, capsys, ["cool", "--adversary", rounds], {"nu0": 5.0, "nu_b": 2.0})
+        assert f"--adversary must be >= 1, got {rounds}" in err
+
     def test_missing_nu_b_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"nu0": 5.0})
         assert main(["cool", "--input", in_path]) == 2
@@ -413,10 +431,53 @@ class TestSelftest:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTO_KIT_SEED", "11")
-        main(["selftest", "--quick"])
-        via_env = capsys.readouterr().out
-        main(["selftest", "--quick", "--seed", "11"])
-        via_flag = capsys.readouterr().out
-        assert via_env == via_flag
+
+# The options each subcommand reads; argparse refuses any other.
+READS = {
+    "validate": {"--input", "--output", "--tol-structural"},
+    "feasible": {"--input", "--output", "--tol-feasibility"},
+    "apply": {"--input", "--output", "--tol-channel", "--oracle"},
+    "cool": {"--input", "--output", "--adversary", "--sideband", "--json"},
+    "thermo-curve": {"--input", "--output"},
+    "decompose": {"--input", "--output", "--tol-structural"},
+    "selftest": {"--seed", "--quick"},
+}
+# Options an earlier parser put on every subcommand, whether it read them or not.
+FORMERLY_SHARED = ("--input", "--output", "--seed", "--tol-structural", "--tol-channel", "--tol-feasibility")
+UNREAD = [(sub, flag) for sub in READS for flag in FORMERLY_SHARED if flag not in READS[sub]]
+# A payload each subcommand answers with exit 0.
+VALID_PAYLOADS = {
+    "validate": state_payload(2.0 * np.eye(2)),
+    "feasible": TestFeasible.WORKED,
+    "apply": {"state": state_payload(2.0 * np.eye(2)), "single_mode_gto": {"p": 0.5, "nu_b": 2.0}},
+    "cool": {"nu0": 5.0, "nu_b": 2.0, "steps": [{"p": 0.5}]},
+    "thermo-curve": {"beta_i": 1.2, "beta": 0.7, "E": 1.0},
+    "decompose": {"cm": np.diag([8.0, 0.5]).tolist()},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_accepts_exactly_what_it_reads(self):
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert accepted == READS
+        assert sum(map(len, accepted.values())) == 22
+        assert len(UNREAD) == 47 - 22  # every option accepted before, less those read
+
+    @pytest.mark.parametrize("sub, flag", UNREAD, ids=[f"{s}{f}" for s, f in UNREAD])
+    def test_an_unread_flag_is_refused(self, tmp_path, capsys, sub, flag):
+        in_path = write_payload(tmp_path, VALID_PAYLOADS.get(sub, {}))
+        out_path = tmp_path / "F"
+        value = {"--input": in_path, "--output": str(out_path), "--seed": "3"}.get(flag, "1e-5")
+        argv = ["selftest", "--quick"] if sub == "selftest" else [sub, "--input", in_path]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not out_path.exists()

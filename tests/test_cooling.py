@@ -381,6 +381,14 @@ class TestSidebandSwap:
         with pytest.raises(ValueError):
             sideband_swap(GaussianState.vacuum(2), 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "cm", [0.2 * np.eye(2), 2.0 * np.diag([-2.0, -0.5])], ids=["below-vacuum", "negative-definite"]
+    )
+    def test_rejects_an_unphysical_system(self, cm):
+        # The swap discards the system, so without a check any CM came out "cooled".
+        with pytest.raises(ValueError, match="initial state has an invalid covariance matrix"):
+            sideband_swap(GaussianState(1, np.zeros(2), cm), beta=1.0, omega_ancilla=3.0)
+
 
 class TestCoolingTrace:
     def test_properties_align(self):
