@@ -39,16 +39,15 @@ from .feasibility import (
 )
 from .states import (
     GaussianState,
+    _physical_spectrum,
     entropy,
     nu_of,
     single_mode_decompose,
     squeezer,
-    validate_state,
 )
 from .symplectic import (
     STRUCTURAL_TOL,
     cosine_sine_decompose,
-    symplectic_eigenvalues,
     williamson,
 )
 from .thermo import geometric_probs, level_cutoff, thermo_curve
@@ -104,12 +103,12 @@ def _write_json(args, payload: dict) -> None:
 
 def cmd_validate(args) -> int:
     state = GaussianState.from_dict(_read_json(args))
-    valid = validate_state(state, tol=args.tol_structural)
-    payload = {"valid": valid}
-    if valid:
-        payload["symplectic_eigenvalues"] = symplectic_eigenvalues(state.cm, args.tol_structural).tolist()
+    nus = _physical_spectrum(state, args.tol_structural)
+    payload = {"valid": nus is not None}
+    if nus is not None:
+        payload["symplectic_eigenvalues"] = nus.tolist()
     _write_json(args, payload)
-    return EXIT_OK if valid else EXIT_NEGATIVE
+    return EXIT_NEGATIVE if nus is None else EXIT_OK
 
 
 def cmd_feasible(args) -> int:
@@ -167,6 +166,8 @@ def _initial_state(payload: dict) -> GaussianState:
 
 
 def cmd_cool(args) -> int:
+    if args.sideband is not None and args.json:
+        raise ValueError("--json does not apply to --sideband, whose output is always JSON")
     payload = _read_json(args)
     if args.sideband is not None:
         state = _initial_state(payload)
@@ -187,6 +188,9 @@ def cmd_cool(args) -> int:
     if args.adversary is not None:
         if args.adversary < 1:
             raise ValueError(f"--adversary must be >= 1, got {args.adversary}")
+        for key in ("z0", "steps"):
+            if key in payload:
+                raise ValueError(f"--adversary starts from an unsqueezed state and reads no '{key}' key")
         trace = greedy_adversary(float(payload["nu0"]), nu_b, args.adversary)
     else:
         initial = _initial_state(payload)
@@ -305,8 +309,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = _json_subcommand(sub, "cool", cmd_cool, "run a cooling protocol")
-    p.add_argument("--adversary", type=int, metavar="N", help="greedy adversarial search, N rounds")
-    p.add_argument("--sideband", type=float, metavar="OMEGA", help="swap with a thermal ancilla at this frequency")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--adversary", type=int, metavar="N", help="greedy adversarial search, N rounds")
+    mode.add_argument(
+        "--sideband", type=float, metavar="OMEGA",
+        help="swap with a thermal ancilla at this frequency (output is always JSON)",
+    )
     p.add_argument("--json", action="store_true", help="emit the trace as JSON instead of CSV")
 
     _json_subcommand(sub, "thermo-curve", cmd_thermo_curve, "export a thermo-majorization curve as CSV")

@@ -178,6 +178,25 @@ class FrequencySpectrum:
         )
 
 
+def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:
+    """Symplectic eigenvalues of a physical state's covariance matrix, else None.
+
+    The one computation behind :func:`validate_state` and the ``validate``
+    report: None when the first moments are not finite,
+    ``symplectic_eigenvalues(cm, tol)`` refuses ``cm``, or the smallest
+    eigenvalue is below ``1 - tol``.
+    """
+    if state.cm.shape != (2 * state.n_modes, 2 * state.n_modes):
+        raise ValueError("covariance matrix shape does not match n_modes")
+    if not np.isfinite(state.first_moments).all():
+        return None
+    try:
+        nus = symplectic_eigenvalues(state.cm, tol)
+    except ValueError:
+        return None
+    return nus if nus.min() >= 1.0 - tol else None
+
+
 def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     """Check that the covariance matrix describes a physical Gaussian state.
 
@@ -185,14 +204,7 @@ def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     accepts ``cm`` (finite, symmetric within ``tol``, positive definite), and
     the smallest symplectic eigenvalue is at least ``1 - tol`` (the uncertainty bound).
     """
-    if state.cm.shape != (2 * state.n_modes, 2 * state.n_modes):
-        raise ValueError("covariance matrix shape does not match n_modes")
-    if not np.isfinite(state.first_moments).all():
-        return False
-    try:
-        return bool(symplectic_eigenvalues(state.cm, tol).min() >= 1.0 - tol)
-    except ValueError:
-        return False
+    return _physical_spectrum(state, tol) is not None
 
 
 def _check_nu(value: float, name: str) -> None:

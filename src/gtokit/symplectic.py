@@ -94,12 +94,30 @@ def _check_unitary(U: np.ndarray, tol: float, name: str = "U") -> np.ndarray:
     return U
 
 
+def _realify(M: np.ndarray) -> np.ndarray:
+    """Unchecked real 2n x 2n form of an n x n complex matrix, mode-major.
+
+    Writes the four strided sub-lattices of the result directly: block
+    ``(j, k)`` is [[Re M_jk, Im M_jk], [-Im M_jk, Re M_jk]].  The map is a
+    real-algebra homomorphism, ``_realify(A @ B) = _realify(A) @ _realify(B)``
+    and ``_realify(A^H) = _realify(A)^T``, so a product of passive factors can
+    be formed in the n x n complex picture and converted once.
+    """
+    n = M.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[0::2, 0::2] = out[1::2, 1::2] = M.real
+    out[0::2, 1::2] = M.imag
+    out[1::2, 0::2] = -M.imag
+    return out
+
+
 def unitary_to_passive(U: np.ndarray) -> np.ndarray:
     """Real orthogonal symplectic matrix acting on quadratures as ``U`` acts on modes.
 
     The map is a group isomorphism: it sends products to products and the
     single-mode phase ``e^{i phi}`` to the rotation
-    [[cos phi, sin phi], [-sin phi, cos phi]].
+    [[cos phi, sin phi], [-sin phi, cos phi]].  ``U`` is checked for
+    unitarity, then converted by :func:`_realify` (no Kronecker products).
 
     Args:
         U: n x n unitary matrix, unitary within ``STRUCTURAL_TOL``.
@@ -107,8 +125,7 @@ def unitary_to_passive(U: np.ndarray) -> np.ndarray:
     Returns:
         2n x 2n real orthogonal symplectic matrix in mode-major ordering.
     """
-    U = _check_unitary(U, STRUCTURAL_TOL)
-    return np.kron(U.real, np.eye(2)) + np.kron(U.imag, _OMEGA_1)
+    return _realify(_check_unitary(U, STRUCTURAL_TOL))
 
 
 def passive_to_unitary(K: np.ndarray) -> np.ndarray:
@@ -222,13 +239,15 @@ def williamson(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> WilliamsonForm:
 def symplectic_eigenvalues(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive-definite matrix, descending.
 
-    Computed as the absolute values of the eigenvalues of ``i Omega P``, which
-    come in pairs ``+-nu_j``; one value per mode is returned.
+    With the Cholesky factor ``P = L L^T``, the matrix ``L^T Omega L`` is
+    similar to ``Omega P`` and antisymmetric, so ``i L^T Omega L`` is Hermitian
+    with eigenvalues ``+-nu_j``.  A Hermitian eigensolver returns them in
+    ascending order; the top n, reversed, are the result.
     """
     P = _check_spd(P, tol)
     n = P.shape[0] // 2
-    ev = np.abs(np.linalg.eigvals(1j * omega(n) @ P))
-    return np.sort(ev)[::-1][::2].copy()
+    L = np.linalg.cholesky(P)
+    return np.linalg.eigvalsh(1j * (L.T @ omega(n) @ L))[n:][::-1].copy()
 
 
 def triangularize_offdiagonal(U: np.ndarray, n: int, m: int):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
@@ -10,6 +12,7 @@ from gtokit.channels import (
     GTOSector,
     GTOSpec,
     SingleModeGTO,
+    _symplectic_inverse,
     apply_channel,
     compose,
     dilate_and_trace,
@@ -87,7 +90,83 @@ class TestValidateChannel:
             apply_channel(ch, GaussianState.vacuum(1))
 
 
+def per_sector_gto_to_channel(spec):
+    """Reference: ``gto_to_channel`` as it was built sector by sector, with
+    each sector's ``W`` and ``Z`` converted to real matrices on their own."""
+    n = spec.spectrum.n_modes
+    dim = 2 * n
+    X_nm = np.zeros((dim, dim))
+    Y_nm = np.zeros((dim, dim))
+    for gto_sec, freq_sec in zip(spec.sectors, spec.spectrum.sectors):
+        nu_l = nu_of(spec.beta, freq_sec.omega)
+        KW = unitary_to_passive(gto_sec.W)
+        KZ = unitary_to_passive(gto_sec.Z)
+        cos2 = np.repeat(np.cos(gto_sec.thetas), 2)
+        sin2 = np.repeat(np.sin(gto_sec.thetas) ** 2, 2)
+        X_l = (KW * cos2) @ KZ
+        Y_l = (KW * (nu_l * sin2)) @ KW.T
+        rows = np.ravel([[2 * i, 2 * i + 1] for i in freq_sec.mode_indices])
+        X_nm[np.ix_(rows, rows)] = X_l
+        Y_nm[np.ix_(rows, rows)] = Y_l
+
+    S = spec.spectrum.S
+    S_inv = _symplectic_inverse(S)
+    return GaussianChannel(X=S @ X_nm @ S_inv, Y=S @ Y_nm @ S.T, d=np.zeros(dim))
+
+
+@st.composite
+def partitioned_specs(draw):
+    """A GTOSpec on 1-8 modes whose sectors take a random, generally
+    non-contiguous, partition of the modes, in the identity or a squeezed frame."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    groups = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    S = random_symplectic(n, seed) if draw(st.booleans()) else np.eye(2 * n)
+    omegas = 0.5 + 0.1 * rng.permutation(40)[: len(groups)]
+    spectrum = FrequencySpectrum(
+        S=S, sectors=tuple(FrequencySector(float(w), len(g), g) for w, g in zip(omegas, groups))
+    )
+    sectors = [
+        GTOSector(
+            Z=random_unitary(len(g), seed + 2 * k + 1),
+            thetas=rng.uniform(0.0, np.pi / 2, size=len(g)),
+            W=random_unitary(len(g), seed + 2 * k + 2),
+        )
+        for k, g in enumerate(groups)
+    ]
+    return GTOSpec(spectrum=spectrum, beta=float(rng.uniform(0.3, 2.0)), sectors=sectors)
+
+
 class TestGtoToChannel:
+    @given(spec=partitioned_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_sector_construction(self, spec):
+        got, want = gto_to_channel(spec), per_sector_gto_to_channel(spec)
+        for name in ("X", "Y"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+        assert np.array_equal(got.d, want.d)
+
+    @pytest.mark.parametrize("block", ["W", "Z"])
+    def test_refuses_a_sector_block_made_non_unitary_after_construction(self, block):
+        spectrum = FrequencySpectrum(
+            S=np.eye(6),
+            sectors=(
+                FrequencySector(omega=1.0, multiplicity=2, mode_indices=(0, 2)),
+                FrequencySector(omega=2.0, multiplicity=1, mode_indices=(1,)),
+            ),
+        )
+        sectors = [GTOSector(random_unitary(2, 1), [0.2, 0.4], random_unitary(2, 2)),
+                   GTOSector(np.eye(1), [0.3], np.eye(1))]
+        spec = GTOSpec(spectrum=spectrum, beta=1.0, sectors=sectors)
+        # (1 + 1e-9)^2 - 1 ~ 2e-9: just past STRUCTURAL_TOL, in a non-contiguous sector
+        setattr(spec.sectors[0], block, (1.0 + 1e-9) * getattr(spec.sectors[0], block))
+        with pytest.raises(ValueError, match=f"{block} is not unitary"):
+            gto_to_channel(spec)
+
     def test_identity_spec(self):
         spec = uniform_sector_spec(1, 1.0, LN3, np.eye(1), [0.0], np.eye(1))
         ch = gto_to_channel(spec)

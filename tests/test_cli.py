@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gtokit import symplectic
 from gtokit.cli import _build_parser, main
 from gtokit.symplectic import random_unitary
 
@@ -85,6 +86,16 @@ class TestValidate:
         assert rc == 0
         assert out["valid"] is True
         assert out["symplectic_eigenvalues"] == pytest.approx([math.sqrt(1.99)], rel=1e-8)
+
+    def test_eigenvalues_computed_once(self, tmp_path, monkeypatch):
+        # every symplectic_eigenvalues call checks its input once with _check_spd
+        calls = []
+        real = symplectic._check_spd
+        monkeypatch.setattr(symplectic, "_check_spd", lambda *a: calls.append(a) or real(*a))
+        rc, out = run_json(tmp_path, ["validate"], state_payload(2.0 * np.eye(2)))
+        assert rc == 0
+        assert out["symplectic_eigenvalues"] == pytest.approx([2.0], rel=1e-15)
+        assert len(calls) == 1
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -294,6 +305,27 @@ class TestCool:
     def test_adversary_rounds_below_one_name_the_flag(self, tmp_path, capsys, rounds):
         err = assert_refused(tmp_path, capsys, ["cool", "--adversary", rounds], {"nu0": 5.0, "nu_b": 2.0})
         assert f"--adversary must be >= 1, got {rounds}" in err
+
+    def test_sideband_and_adversary_are_exclusive(self, tmp_path, capsys):
+        # --sideband once silently overrode --adversary and --json
+        in_path = write_payload(tmp_path, {"nu0": 2.0, "beta": 1.0, "nu_b": 2.0})
+        with pytest.raises(SystemExit) as exc:
+            main(["cool", "--sideband", "3", "--adversary", "5", "--json", "--input", in_path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
+    def test_sideband_refuses_json(self, tmp_path, capsys):
+        err = assert_refused(tmp_path, capsys, ["cool", "--sideband", "3", "--json"], {"nu0": 2.0, "beta": 1.0})
+        assert "--json does not apply to --sideband" in err
+
+    @pytest.mark.parametrize("key, value", [("z0", 4.0), ("steps", [{"p": 0.5}])])
+    def test_adversary_refuses_keys_it_does_not_read(self, tmp_path, capsys, key, value):
+        # the adversary starts from nu0 * identity, so a squeezed z0 once gave the unsqueezed trace
+        payload = {"nu0": 2.0, "nu_b": 3.0, key: value}
+        err = assert_refused(tmp_path, capsys, ["cool", "--adversary", "3"], payload)
+        assert f"reads no '{key}' key" in err
 
     def test_missing_nu_b_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"nu0": 5.0})

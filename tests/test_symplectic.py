@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 from gtokit import symplectic
 from gtokit.symplectic import (
+    _realify,
     build_isotropy_element,
     cosine_sine_decompose,
     is_passive,
@@ -149,6 +152,35 @@ class TestBogoliubov:
             passive_to_unitary(np.diag([2.0, 0.5]))
 
 
+def complex_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+class TestRealify:
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_products_map_to_products(self, n, seed):
+        A, B = complex_matrix(n, seed), complex_matrix(n, seed + 1)
+        AB = _realify(A @ B)
+        assert np.abs(AB - _realify(A) @ _realify(B)).max() <= 1e-12 * max(1.0, np.abs(AB).max())
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_adjoint_maps_to_transpose(self, n, seed):
+        A = complex_matrix(n, seed)
+        assert np.array_equal(_realify(A.conj().T), _realify(A).T)
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_unitary_to_passive_equals_the_kronecker_form(self, n, seed):
+        # The Kronecker-product expression unitary_to_passive was once built
+        # from; array_equal compares values, so only the sign of a zero may differ.
+        U = random_unitary(n, seed)
+        kron = np.kron(U.real, np.eye(2)) + np.kron(U.imag, omega(1))
+        assert np.array_equal(unitary_to_passive(U), kron)
+
+
 class TestWilliamson:
     def test_identity(self):
         form = williamson(np.eye(2))
@@ -220,6 +252,47 @@ class TestSymplecticEigenvalues:
                 symplectic_eigenvalues(P),
                 rtol=1e-8,
             )
+
+
+def eigvals_route(P):
+    """Symplectic eigenvalues as |eig(i Omega P)| from the general complex eigensolver."""
+    n = len(P) // 2
+    ev = np.abs(np.linalg.eigvals(1j * omega(n) @ P))
+    return np.sort(ev)[::-1][::2]
+
+
+@st.composite
+def conditioned_spectra(draw):
+    """``(P, nu)`` with ``P = S diag(nu) S^T`` on 1-6 modes, condition number up to ~1e8.
+
+    ``nu`` mixes unit values (pure modes) and values in [1, 10], and may
+    repeat one value across all modes; ``S = K1 diag(e^r, e^-r) K2`` with
+    squeezing ``r`` up to 4, so ``cond P <= 10 e^16 ~ 9e7``.
+    """
+    n = draw(st.integers(1, 6))
+    nus = draw(st.lists(st.one_of(st.just(1.0), st.floats(1.0, 10.0)), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        nus = [nus[0]] * n
+    r = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    K1 = unitary_to_passive(random_unitary(n, seed))
+    K2 = unitary_to_passive(random_unitary(n, seed + 1))
+    stretch = np.exp(np.stack([r, -r], axis=1).ravel())
+    S = (K1 * stretch) @ K2
+    P = (S * np.repeat(nus, 2)) @ S.T
+    return 0.5 * (P + P.T), np.sort(nus)[::-1]
+
+
+class TestSymplecticEigenvaluesConditioning:
+    @given(case=conditioned_spectra())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_eigvals_route_and_the_drawn_spectrum(self, case):
+        P, nus = case
+        tol = 1e-13 * np.linalg.cond(P)
+        got = symplectic_eigenvalues(P)
+        assert np.all(np.diff(got) <= 0)
+        assert np.abs(got / nus - 1).max() <= tol
+        assert np.abs(got / eigvals_route(P) - 1).max() <= tol
 
 
 class TestTriangularization:
