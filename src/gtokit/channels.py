@@ -268,8 +268,8 @@ def gto_to_channel(spec: GTOSpec) -> GaussianChannel:
         Zc[block] = gto_sec.Z
         cos[idx] = np.cos(gto_sec.thetas)
         noise[idx] = nu_of(spec.beta, freq_sec.omega) * np.sin(gto_sec.thetas) ** 2
-    Wc = _check_unitary(Wc, STRUCTURAL_TOL, "W")
-    Zc = _check_unitary(Zc, STRUCTURAL_TOL, "Z")
+    _check_unitary(Wc, STRUCTURAL_TOL, "W")
+    _check_unitary(Zc, STRUCTURAL_TOL, "Z")
     X_nm = _realify((Wc * cos) @ Zc)
     Y_nm = _realify((Wc * noise) @ Wc.conj().T)
 
