@@ -40,7 +40,6 @@ from .channels import (
     GaussianChannel,
     GTOSector,
     GTOSpec,
-    SingleModeGTO,
     apply_channel,
     compose,
     dilate_and_trace,

@@ -10,13 +10,14 @@ alternative used as an oracle: explicit bath modes, a global passive
 transformation, and a partial trace by ``dilate_and_trace``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .states import GaussianState, FrequencySpectrum, _check_nu, nu_of, validate_state
 from .symplectic import (
     STRUCTURAL_TOL,
+    CosineSineForm,
     _check_square_even,
     _check_unitary,
     _is_symmetric,
@@ -68,25 +69,6 @@ class GaussianChannel:
         dim = 2 * n_modes
         return cls(np.eye(dim), np.zeros((dim, dim)), np.zeros(dim))
 
-    def to_dict(self) -> dict:
-        return {"X": self.X.tolist(), "Y": self.Y.tolist(), "d": self.d.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianChannel":
-        return cls(
-            X=np.asarray(data["X"], dtype=float),
-            Y=np.asarray(data["Y"], dtype=float),
-            d=np.asarray(data["d"], dtype=float),
-        )
-
-
-def _complex_matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, dtype=complex)]
-
-
-def _complex_matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(pair[0], pair[1]) for pair in row] for row in rows])
-
 
 @dataclass
 class GTOSector:
@@ -110,21 +92,6 @@ class GTOSector:
     @property
     def n_modes(self) -> int:
         return self.Z.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "Z": _complex_matrix_to_json(self.Z),
-            "thetas": self.thetas.tolist(),
-            "W": _complex_matrix_to_json(self.W),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GTOSector":
-        return cls(
-            Z=_complex_matrix_from_json(data["Z"]),
-            thetas=np.asarray(data["thetas"], dtype=float),
-            W=_complex_matrix_from_json(data["W"]),
-        )
 
 
 @dataclass
@@ -166,54 +133,6 @@ class GTOSpec:
         S = self.spectrum.S
         if S.shape != (2 * n, 2 * n) or not is_symplectic(S):
             raise ValueError(f"spectrum.S must be a {2 * n}x{2 * n} symplectic matrix")
-
-    def to_dict(self) -> dict:
-        return {
-            "spectrum": self.spectrum.to_dict(),
-            "beta": self.beta,
-            "sectors": [sec.to_dict() for sec in self.sectors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GTOSpec":
-        return cls(
-            spectrum=FrequencySpectrum.from_dict(data["spectrum"]),
-            beta=float(data["beta"]),
-            sectors=[GTOSector.from_dict(sec) for sec in data["sectors"]],
-        )
-
-
-@dataclass
-class SingleModeGTO:
-    """Single-mode thermal-operation channel parameters.
-
-    The channel is ``sigma -> p S D_phi S^{-1} sigma S^{-T} D_phi^T S^T
-    + (1-p) nu_b S S^T`` where ``S`` is the symplectic normalizing the
-    system Hamiltonian and ``nu_b`` the bath symplectic eigenvalue.
-    """
-
-    p: float
-    phi: float
-    nu_b: float
-    S: np.ndarray = field(default_factory=lambda: np.eye(2))
-
-    def __post_init__(self):
-        self.S = np.asarray(self.S, dtype=float)
-
-    def to_channel(self) -> GaussianChannel:
-        return single_mode_gto(self.p, self.phi, self.nu_b, self.S)
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "phi": self.phi, "nu_b": self.nu_b, "S": self.S.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SingleModeGTO":
-        return cls(
-            p=float(data["p"]),
-            phi=float(data.get("phi", 0.0)),
-            nu_b=float(data["nu_b"]),
-            S=np.asarray(data["S"], dtype=float) if "S" in data else np.eye(2),
-        )
 
 
 def validate_channel(ch: GaussianChannel, tol: float = CHANNEL_TOL) -> bool:
@@ -396,7 +315,8 @@ def oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
     The independent route to ``apply_channel(gto_to_channel(spec), state)``:
     in the normal-mode frame each sector's system modes are coupled to an
     equal number of bath modes at the sector's thermal eigenvalue through the
-    beam-splitter unitary ``(W + 1) [[C, S], [-S, C]] (Z + 1)``, and
+    beam-splitter unitary ``(W + 1) [[C, S], [-S, C]] (Z + 1)``, built by
+    :meth:`CosineSineForm.reconstruct` with identity bath blocks, and
     :func:`dilate_and_trace` pinches the result back onto the system.
 
     Args:
@@ -415,11 +335,8 @@ def oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
     O = np.eye(4 * n)
     bath_nus = np.empty(n)
     for gto_sec, freq_sec in zip(spec.sectors, spec.spectrum.sectors):
-        d = freq_sec.multiplicity
-        C = np.diag(np.cos(gto_sec.thetas))
-        Sd = np.diag(np.sin(gto_sec.thetas))
-        mid = np.block([[C, Sd], [-Sd, C]])
-        U_l = block_diag(gto_sec.W, np.eye(d)) @ mid @ block_diag(gto_sec.Z, np.eye(d))
+        bath = np.eye(freq_sec.multiplicity)
+        U_l = CosineSineForm(W=gto_sec.W, X=bath, Z=gto_sec.Z, Y=bath, thetas=gto_sec.thetas).reconstruct()
         modes = list(freq_sec.mode_indices) + [n + i for i in freq_sec.mode_indices]
         rows = np.ravel([[2 * m, 2 * m + 1] for m in modes])
         O[np.ix_(rows, rows)] = unitary_to_passive(U_l)

@@ -9,6 +9,10 @@ CSV export), ``decompose`` (normal forms of matrices), and ``selftest``.
 JSON goes in and out on files or standard streams; traces and curves are
 CSV.  Exit codes: 0 success or positive verdict, 1 well-formed negative
 verdict, 2 invalid input, 3 internal invariant breach.
+
+This module alone knows the JSON format.  Each payload is read through its
+subcommand's key table, which refuses a missing key, any key it does not
+read, a non-number and a non-integer count.
 """
 
 import argparse
@@ -21,13 +25,12 @@ import numpy as np
 from .channels import (
     CHANNEL_TOL,
     GaussianChannel,
+    GTOSector,
     GTOSpec,
-    SingleModeGTO,
-    _complex_matrix_from_json,
-    _complex_matrix_to_json,
     apply_channel,
     gto_to_channel,
     oracle_apply,
+    single_mode_gto,
 )
 from .cooling import ProtocolStep, greedy_adversary, run_protocol, sideband_swap
 from .feasibility import (
@@ -38,6 +41,8 @@ from .feasibility import (
     squeezed_bath_feasible,
 )
 from .states import (
+    FrequencySector,
+    FrequencySpectrum,
     GaussianState,
     _physical_spectrum,
     entropy,
@@ -101,8 +106,126 @@ def _write_json(args, payload: dict) -> None:
     _write_text(args, json.dumps(payload, indent=2) + "\n")
 
 
+# Readers: ``read(value, key)`` returns the library value of one payload entry
+# or refuses it with a ValueError naming ``key``.
+
+
+def _number(value, key: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"'{key}' must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _count(value, key: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"'{key}' must be a JSON integer, got {value!r}")
+    return value
+
+
+def _array(value, key: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array."""
+    entries = np.asarray(value, dtype=object)
+    if not all(type(v) in (int, float) for v in entries.flat):
+        raise ValueError(f"'{key}' must be an array of numbers")
+    return entries.astype(float)
+
+
+def _complex_array(value, key: str) -> np.ndarray:
+    """A JSON matrix of ``[re, im]`` pairs as a complex matrix."""
+    pairs = _array(value, key)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"'{key}' must be a matrix of [re, im] pairs")
+    return pairs.view(complex)[..., 0]
+
+
+def _list(read):
+    """Reader of a JSON array whose every entry ``read`` reads."""
+
+    def read_list(value, key: str) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"'{key}' must be a JSON array")
+        return [read(v, f"{key}[{k}]") for k, v in enumerate(value)]
+
+    return read_list
+
+
+def _keys(obj, where: str, required: dict, optional: dict | None = None) -> dict:
+    """Read the JSON object ``obj`` through the readers of its keys.
+
+    Every key of ``required`` must be present, a key of ``optional`` may be,
+    and any other key is refused: the payload format has no key that is
+    silently ignored.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    readers = {**required, **(optional or {})}
+    for key in obj:
+        if key not in readers:
+            raise ValueError(f"{where} reads no '{key}' key")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where} needs a '{key}' key")
+    return {key: read(obj[key], key) for key, read in readers.items() if key in obj}
+
+
+def _which(values: dict, where: str, choices) -> str:
+    """The one key of ``choices`` that ``values`` holds."""
+    given = [key for key in choices if key in values]
+    if len(given) != 1:
+        raise ValueError(f"{where} reads exactly one of {', '.join(map(repr, choices))}, got {len(given)}")
+    return given[0]
+
+
+def _state(value, key: str) -> GaussianState:
+    return GaussianState(**_keys(value, key, {"n_modes": _count, "first_moments": _array, "cm": _array}))
+
+
+def _channel(value, key: str) -> GaussianChannel:
+    return GaussianChannel(**_keys(value, key, {"X": _array, "Y": _array, "d": _array}))
+
+
+def _single_mode_gto(value, key: str) -> GaussianChannel:
+    v = _keys(value, key, {"p": _number, "nu_b": _number}, {"phi": _number, "S": _array})
+    return single_mode_gto(v["p"], v.get("phi", 0.0), v["nu_b"], v.get("S"))
+
+
+def _frequency_sector(value, key: str) -> FrequencySector:
+    v = _keys(value, key, {"omega": _number, "multiplicity": _count, "mode_indices": _list(_count)})
+    return FrequencySector(v["omega"], v["multiplicity"], tuple(v["mode_indices"]))
+
+
+def _spectrum(value, key: str) -> FrequencySpectrum:
+    v = _keys(value, key, {"S": _array, "sectors": _list(_frequency_sector)})
+    return FrequencySpectrum(v["S"], tuple(v["sectors"]))
+
+
+def _gto_sector(value, key: str) -> GTOSector:
+    return GTOSector(**_keys(value, key, {"Z": _complex_array, "thetas": _array, "W": _complex_array}))
+
+
+def _gto_spec(value, key: str) -> GTOSpec:
+    return GTOSpec(**_keys(value, key, {"spectrum": _spectrum, "beta": _number, "sectors": _list(_gto_sector)}))
+
+
+def _step(value, key: str) -> ProtocolStep:
+    """A protocol step, given by its ``unitary`` or by ``squeeze`` and ``rotate``."""
+    if isinstance(value, dict) and "unitary" in value:
+        v = _keys(value, key, {"unitary": _array, "p": _number}, {"phi": _number})
+        return ProtocolStep(unitary=v["unitary"], gto_p=v["p"], gto_phi=v.get("phi", 0.0))
+    v = _keys(value, key, {"p": _number}, {"squeeze": _number, "rotate": _number, "phi": _number})
+    return ProtocolStep.from_params(v.get("squeeze", 1.0), v.get("rotate", 0.0), v["p"], v.get("phi", 0.0))
+
+
+def _state_json(state: GaussianState) -> dict:
+    return {"n_modes": state.n_modes, "first_moments": state.first_moments.tolist(), "cm": state.cm.tolist()}
+
+
+def _complex_json(M: np.ndarray) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, dtype=complex)]
+
+
 def cmd_validate(args) -> int:
-    state = GaussianState.from_dict(_read_json(args))
+    state = _state(_read_json(args), "validate")
     nus = _physical_spectrum(state, args.tol_structural)
     payload = {"valid": nus is not None}
     if nus is not None:
@@ -112,37 +235,33 @@ def cmd_validate(args) -> int:
 
 
 def cmd_feasible(args) -> int:
-    query = TransformQuery.from_dict(_read_json(args))
+    required = dict.fromkeys(("nu_i", "z_i", "nu_f", "z_f", "nu_b"), _number)
+    query = TransformQuery(**_keys(_read_json(args), "feasible", required, {"vartheta": _number}))
     if query.vartheta is None:
         result = single_mode_feasible(query, tol=args.tol_feasibility)
     else:
         result = squeezed_bath_feasible(query, tol=args.tol_feasibility)
-    payload = result.to_dict()
+    payload = {"feasible": result.feasible, "p": result.p, "reason": result.reason}
     payload["bounds"] = dict(necessary_bounds(query, tol=args.tol_feasibility))
     _write_json(args, payload)
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
+_CHANNEL_READERS = {"channel": _channel, "single_mode_gto": _single_mode_gto, "gto": _gto_spec}
+
+
 def cmd_apply(args) -> int:
-    payload = _read_json(args)
-    state = GaussianState.from_dict(payload["state"])
-    spec = None
-    if "channel" in payload:
-        channel = GaussianChannel.from_dict(payload["channel"])
-    elif "single_mode_gto" in payload:
-        channel = SingleModeGTO.from_dict(payload["single_mode_gto"]).to_channel()
-    elif "gto" in payload:
-        spec = GTOSpec.from_dict(payload["gto"])
-        channel = gto_to_channel(spec)
-    else:
-        raise ValueError("payload needs one of 'channel', 'single_mode_gto', 'gto'")
+    v = _keys(_read_json(args), "apply", {"state": _state}, _CHANNEL_READERS)
+    kind = _which(v, "apply", _CHANNEL_READERS)
+    if args.oracle and kind != "gto":
+        raise ValueError("--oracle requires a 'gto' payload")
+    state = v["state"]
+    channel = gto_to_channel(v["gto"]) if kind == "gto" else v[kind]
 
     out = apply_channel(channel, state, tol=args.tol_channel)
-    result = out.to_dict()
+    result = _state_json(out)
     if args.oracle:
-        if spec is None:
-            raise ValueError("--oracle requires a 'gto' payload")
-        via_oracle = oracle_apply(spec, state)
+        via_oracle = oracle_apply(v["gto"], state)
         result["oracle_max_deviation"] = float(
             max(
                 np.abs(out.cm - via_oracle.cm).max(),
@@ -160,9 +279,9 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _initial_state(payload: dict) -> GaussianState:
+def _initial_state(v: dict) -> GaussianState:
     """The squeezed thermal start ``nu0 * squeezer(z0)`` of a ``cool`` payload."""
-    return GaussianState(1, np.zeros(2), float(payload["nu0"]) * squeezer(float(payload.get("z0", 1.0))))
+    return GaussianState(1, np.zeros(2), v["nu0"] * squeezer(v.get("z0", 1.0)))
 
 
 def cmd_cool(args) -> int:
@@ -170,32 +289,28 @@ def cmd_cool(args) -> int:
         raise ValueError("--json does not apply to --sideband, whose output is always JSON")
     payload = _read_json(args)
     if args.sideband is not None:
-        state = _initial_state(payload)
-        beta = float(payload["beta"])
-        cooled, nu_achieved = sideband_swap(state, beta, args.sideband)
+        v = _keys(payload, "cool --sideband", {"nu0": _number, "beta": _number}, {"z0": _number})
+        cooled, nu_achieved = sideband_swap(_initial_state(v), v["beta"], args.sideband)
         _write_json(
             args,
             {
                 "nu_achieved": nu_achieved,
-                "nu_ancilla": nu_of(beta, args.sideband),
+                "nu_ancilla": nu_of(v["beta"], args.sideband),
                 "entropy": entropy(nu_achieved),
-                "state": cooled.to_dict(),
+                "state": _state_json(cooled),
             },
         )
         return EXIT_OK
 
-    nu_b = float(payload["nu_b"])
     if args.adversary is not None:
         if args.adversary < 1:
             raise ValueError(f"--adversary must be >= 1, got {args.adversary}")
-        for key in ("z0", "steps"):
-            if key in payload:
-                raise ValueError(f"--adversary starts from an unsqueezed state and reads no '{key}' key")
-        trace = greedy_adversary(float(payload["nu0"]), nu_b, args.adversary)
+        # The adversary starts from the unsqueezed nu0 * identity and searches its own steps.
+        v = _keys(payload, "cool --adversary", {"nu0": _number, "nu_b": _number})
+        trace = greedy_adversary(v["nu0"], v["nu_b"], args.adversary)
     else:
-        initial = _initial_state(payload)
-        steps = [ProtocolStep.from_dict(s) for s in payload.get("steps", [])]
-        trace = run_protocol(initial, steps, nu_b)
+        v = _keys(payload, "cool", {"nu0": _number, "nu_b": _number}, {"z0": _number, "steps": _list(_step)})
+        trace = run_protocol(_initial_state(v), v.get("steps", []), v["nu_b"])
 
     if args.json:
         _write_json(
@@ -213,14 +328,10 @@ def cmd_cool(args) -> int:
 
 
 def cmd_thermo_curve(args) -> int:
-    payload = _read_json(args)
-    beta_i = float(payload["beta_i"])
-    beta = float(payload["beta"])
-    E = float(payload["E"])
-    if "N" in payload:
-        N = int(payload["N"])
-    else:
-        N = level_cutoff(beta_i, beta, E=E)
+    required = dict.fromkeys(("beta_i", "beta", "E"), _number)
+    v = _keys(_read_json(args), "thermo-curve", required, {"N": _count})
+    beta_i, beta, E = v["beta_i"], v["beta"], v["E"]
+    N = v["N"] if "N" in v else level_cutoff(beta_i, beta, E=E)
     curve = thermo_curve(geometric_probs(beta_i, E, N), geometric_probs(beta, E, N))
     lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in curve.breakpoints]
     _write_text(args, "\n".join(lines) + "\n")
@@ -228,31 +339,28 @@ def cmd_thermo_curve(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    payload = _read_json(args)
-    if "unitary" in payload:
-        U = _complex_matrix_from_json(payload["unitary"])
-        form = cosine_sine_decompose(U, tol=args.tol_structural)
+    v = _keys(_read_json(args), "decompose", {}, {"cm": _array, "unitary": _complex_array})
+    if _which(v, "decompose", ("cm", "unitary")) == "unitary":
+        form = cosine_sine_decompose(v["unitary"], tol=args.tol_structural)
         _write_json(
             args,
             {
-                "W": _complex_matrix_to_json(form.W),
-                "X": _complex_matrix_to_json(form.X),
-                "Z": _complex_matrix_to_json(form.Z),
-                "Y": _complex_matrix_to_json(form.Y),
+                "W": _complex_json(form.W),
+                "X": _complex_json(form.X),
+                "Z": _complex_json(form.Z),
+                "Y": _complex_json(form.Y),
                 "thetas": form.thetas.tolist(),
             },
         )
         return EXIT_OK
-    if "cm" in payload:
-        cm = np.asarray(payload["cm"], dtype=float)
-        form = williamson(cm, tol=args.tol_structural)
-        result = {"S": form.S.tolist(), "nus": form.nus.tolist()}
-        if cm.shape == (2, 2):
-            nf = single_mode_decompose(cm, tol=args.tol_structural)
-            result["normal_form"] = {"nu": nf.nu, "z": nf.z, "phi": nf.phi}
-        _write_json(args, result)
-        return EXIT_OK
-    raise ValueError("payload needs 'unitary' or 'cm'")
+    cm = v["cm"]
+    form = williamson(cm, tol=args.tol_structural)
+    result = {"S": form.S.tolist(), "nus": form.nus.tolist()}
+    if cm.shape == (2, 2):
+        nf = single_mode_decompose(cm, tol=args.tol_structural)
+        result["normal_form"] = {"nu": nf.nu, "z": nf.z, "phi": nf.phi}
+    _write_json(args, result)
+    return EXIT_OK
 
 
 def cmd_selftest(args) -> int:

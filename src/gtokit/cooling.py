@@ -58,24 +58,6 @@ class ProtocolStep:
         """Build the step unitary as rotation(rotate) @ squeezer(squeeze)."""
         return cls(unitary=rotation(rotate) @ squeezer(squeeze), gto_p=p, gto_phi=phi)
 
-    def to_dict(self) -> dict:
-        return {"unitary": self.unitary.tolist(), "p": self.gto_p, "phi": self.gto_phi}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProtocolStep":
-        if "unitary" in data:
-            return cls(
-                unitary=np.asarray(data["unitary"], dtype=float),
-                gto_p=float(data["p"]),
-                gto_phi=float(data.get("phi", 0.0)),
-            )
-        return cls.from_params(
-            squeeze=float(data.get("squeeze", 1.0)),
-            rotate=float(data.get("rotate", 0.0)),
-            p=float(data["p"]),
-            phi=float(data.get("phi", 0.0)),
-        )
-
 
 @dataclass
 class CoolingTrace:

@@ -47,29 +47,6 @@ class TransformQuery:
         if self.vartheta is not None and not math.isfinite(self.vartheta):
             raise ValueError(f"vartheta must be finite, got {self.vartheta}")
 
-    def to_dict(self) -> dict:
-        out = {
-            "nu_i": self.nu_i,
-            "z_i": self.z_i,
-            "nu_f": self.nu_f,
-            "z_f": self.z_f,
-            "nu_b": self.nu_b,
-        }
-        if self.vartheta is not None:
-            out["vartheta"] = self.vartheta
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransformQuery":
-        return cls(
-            nu_i=float(data["nu_i"]),
-            z_i=float(data["z_i"]),
-            nu_f=float(data["nu_f"]),
-            z_f=float(data["z_f"]),
-            nu_b=float(data["nu_b"]),
-            vartheta=float(data["vartheta"]) if "vartheta" in data else None,
-        )
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -78,9 +55,6 @@ class FeasibilityResult:
     feasible: bool
     p: float | None
     reason: str
-
-    def to_dict(self) -> dict:
-        return {"feasible": self.feasible, "p": self.p, "reason": self.reason}
 
 
 def _clamp01(p: float) -> float:

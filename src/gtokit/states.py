@@ -5,7 +5,7 @@ so symplectic eigenvalues of physical states satisfy nu >= 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,21 +56,6 @@ class GaussianState:
     def vacuum(cls, n_modes: int) -> "GaussianState":
         return cls(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "first_moments": self.first_moments.tolist(),
-            "cm": self.cm.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianState":
-        return cls(
-            n_modes=int(data["n_modes"]),
-            first_moments=np.asarray(data["first_moments"], dtype=float),
-            cm=np.asarray(data["cm"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class SingleModeNormalForm:
@@ -109,16 +94,6 @@ class HamiltonianSpec:
     def n_modes(self) -> int:
         return self.H.shape[0] // 2
 
-    def to_dict(self) -> dict:
-        return {"H": self.H.tolist(), "center": self.center.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HamiltonianSpec":
-        return cls(
-            H=np.asarray(data["H"], dtype=float),
-            center=np.asarray(data["center"], dtype=float) if "center" in data else None,
-        )
-
 
 @dataclass(frozen=True)
 class FrequencySector:
@@ -149,33 +124,6 @@ class FrequencySpectrum:
             for idx in sec.mode_indices:
                 out[idx] = sec.omega
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "S": self.S.tolist(),
-            "sectors": [
-                {
-                    "omega": sec.omega,
-                    "multiplicity": sec.multiplicity,
-                    "mode_indices": list(sec.mode_indices),
-                }
-                for sec in self.sectors
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FrequencySpectrum":
-        return cls(
-            S=np.asarray(data["S"], dtype=float),
-            sectors=tuple(
-                FrequencySector(
-                    omega=float(sec["omega"]),
-                    multiplicity=int(sec["multiplicity"]),
-                    mode_indices=tuple(int(i) for i in sec["mode_indices"]),
-                )
-                for sec in data["sectors"]
-            ),
-        )
 
 
 def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from gtokit.channels import (
     GaussianChannel,
     GTOSector,
     GTOSpec,
-    SingleModeGTO,
     _symplectic_inverse,
     apply_channel,
     compose,
@@ -496,26 +496,51 @@ class TestThermalFixedPoint:
         assert np.abs(ch.Y[4:, :4]).max() <= 1e-10
 
 
+def state_json(state):
+    return {"n_modes": state.n_modes, "first_moments": state.first_moments.tolist(), "cm": state.cm.tolist()}
+
+
+def complex_json(M):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+
 class TestSerialization:
-    def test_channel_round_trip(self):
+    """Channels are read only by ``gtokit apply``: each payload form gives the
+    library's answer exactly, since JSON round-trips every double."""
+
+    def apply_both_ways(self, gtokit_run, key, value, channel, n_modes=1):
+        cm = random_cm(n_modes, np.random.default_rng(3))
+        state = GaussianState(n_modes, np.linspace(-0.5, 0.7, 2 * n_modes), cm)
+        code, out = gtokit_run(["apply"], {"state": state_json(state), key: value})
+        assert code == 0
+        assert json.loads(out) == state_json(apply_channel(channel, state))
+        return json.loads(out)
+
+    def test_channel_round_trip(self, gtokit_run):
         ch = single_mode_gto(0.3, 1.1, 2.5, squeezer(1.4))
-        again = GaussianChannel.from_dict(ch.to_dict())
-        assert_allclose(again.X, ch.X)
-        assert_allclose(again.Y, ch.Y)
-        assert_allclose(again.d, ch.d)
+        payload = {"X": ch.X.tolist(), "Y": ch.Y.tolist(), "d": [0.25, -0.5]}
+        self.apply_both_ways(gtokit_run, "channel", payload, GaussianChannel(ch.X, ch.Y, [0.25, -0.5]))
 
-    def test_gto_spec_round_trip(self):
+    def test_gto_spec_round_trip(self, gtokit_run):
         spec = uniform_sector_spec(
-            2, 1.3, 0.9, random_unitary(2, 1), [0.2, 0.4], random_unitary(2, 2)
+            2, 1.3, 0.9, random_unitary(2, 1), [0.2, 0.4], random_unitary(2, 2), S=random_symplectic(2, 4)
         )
-        again = GTOSpec.from_dict(spec.to_dict())
-        ch1, ch2 = gto_to_channel(spec), gto_to_channel(again)
-        assert_allclose(ch1.X, ch2.X)
-        assert_allclose(ch1.Y, ch2.Y)
+        payload = {
+            "spectrum": {
+                "S": spec.spectrum.S.tolist(),
+                "sectors": [{"omega": 1.3, "multiplicity": 2, "mode_indices": [0, 1]}],
+            },
+            "beta": 0.9,
+            "sectors": [{"Z": complex_json(sec.Z), "thetas": sec.thetas.tolist(), "W": complex_json(sec.W)}
+                        for sec in spec.sectors],
+        }
+        self.apply_both_ways(gtokit_run, "gto", payload, gto_to_channel(spec), n_modes=2)
 
-    def test_single_mode_gto_round_trip(self):
-        gto = SingleModeGTO(p=0.4, phi=0.2, nu_b=2.0, S=squeezer(1.3))
-        again = SingleModeGTO.from_dict(gto.to_dict())
-        ch1, ch2 = gto.to_channel(), again.to_channel()
-        assert_allclose(ch1.X, ch2.X)
-        assert_allclose(ch1.Y, ch2.Y)
+    def test_single_mode_gto_round_trip(self, gtokit_run):
+        payload = {"p": 0.4, "phi": 0.2, "nu_b": 2.0, "S": squeezer(1.3).tolist()}
+        ch = single_mode_gto(0.4, 0.2, 2.0, squeezer(1.3))
+        out = self.apply_both_ways(gtokit_run, "single_mode_gto", payload, ch)
+        # phi and S are read: without them the answer differs
+        payload = {"p": 0.4, "nu_b": 2.0}
+        plain = self.apply_both_ways(gtokit_run, "single_mode_gto", payload, single_mode_gto(0.4, 0.0, 2.0))
+        assert out["cm"] != plain["cm"]

@@ -290,11 +290,15 @@ class TestCool:
         # det(1e200 * identity) overflows, so the initial eigenvalue is inf
         assert_refused(tmp_path, capsys, ["cool", "--adversary", "2"], {"nu0": 1e200, "nu_b": 2.0})
 
-    @pytest.mark.parametrize("argv", [["cool"], ["cool", "--sideband", "3"]], ids=["protocol", "sideband"])
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [(["cool"], {"nu0": 2.0, "nu_b": 2.0}), (["cool", "--sideband", "3"], {"nu0": 2.0, "beta": 1.0})],
+        ids=["protocol", "sideband"],
+    )
     @pytest.mark.parametrize("z0", [0.0, -2.0])
-    def test_non_positive_squeeze_exits_two(self, tmp_path, capsys, argv, z0):
+    def test_non_positive_squeeze_exits_two(self, tmp_path, capsys, argv, payload, z0):
         # z0 = 0 once died in 1 / z0 with a traceback and exit 1
-        err = assert_refused(tmp_path, capsys, argv, {"nu0": 2.0, "z0": z0, "nu_b": 2.0, "beta": 1.0})
+        err = assert_refused(tmp_path, capsys, argv, dict(payload, z0=z0))
         assert "squeeze factor must be positive" in err
 
     def test_sideband_refuses_an_unphysical_start(self, tmp_path, capsys):
@@ -513,3 +517,156 @@ class TestOptions:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
         assert not out_path.exists()
+
+
+# Payloads each subcommand and mode answers with exit 0.  Every key in them is
+# read; the paths name the objects nested in each payload.
+STATE = state_payload(2.0 * np.eye(2))
+STEPS = [
+    {"squeeze": 1.2, "rotate": 0.4, "p": 0.6, "phi": 0.1},
+    {"unitary": np.eye(2).tolist(), "p": 0.5, "phi": 0.2},
+]
+MODES = {
+    "validate": (["validate"], STATE, []),
+    "feasible": (["feasible"], TestFeasible.WORKED, []),
+    "feasible-vartheta": (["feasible"], dict(TestFeasible.WORKED, vartheta=0.0), []),
+    "apply-channel": (
+        ["apply"],
+        {"state": STATE, "channel": {"X": np.eye(2).tolist(), "Y": [[0, 0], [0, 0]], "d": [0, 0]}},
+        [["state"], ["channel"]],
+    ),
+    "apply-single_mode_gto": (
+        ["apply"],
+        {"state": STATE, "single_mode_gto": {"p": 0.5, "nu_b": 2.0, "phi": 0.3, "S": [[2, 0], [0, 0.5]]}},
+        [["single_mode_gto"]],
+    ),
+    "apply-gto": (
+        ["apply", "--oracle"],
+        {"state": STATE, "gto": one_mode_gto_payload(theta=0.4, phi=0.2)},
+        [["gto"], ["gto", "spectrum"], ["gto", "spectrum", "sectors", 0], ["gto", "sectors", 0]],
+    ),
+    "cool": (["cool"], {"nu0": 3.0, "z0": 1.5, "nu_b": 2.0, "steps": STEPS}, [["steps", 0], ["steps", 1]]),
+    "cool-adversary": (["cool", "--adversary", "3"], {"nu0": 5.0, "nu_b": 2.0}, []),
+    "cool-sideband": (["cool", "--sideband", "3"], {"nu0": 2.0, "z0": 1.5, "beta": 1.0}, []),
+    "thermo-curve": (["thermo-curve"], {"beta_i": 1.0, "beta": 0.8, "E": 1.0, "N": 45}, []),
+    "decompose-cm": (["decompose"], {"cm": np.diag([8.0, 0.5]).tolist()}, []),
+    "decompose-unitary": (["decompose"], {"unitary": to_complex_json(random_unitary(2, 5))}, []),
+}
+OBJECTS = [(mode, path) for mode, (_, _, paths) in MODES.items() for path in [[]] + paths]
+
+
+def with_key(payload, path, key, value):
+    """A deep copy of ``payload`` with ``key: value`` added to the object at ``path``."""
+    payload = json.loads(json.dumps(payload))
+    obj = payload
+    for step in path:
+        obj = obj[step]
+    obj[key] = value
+    return payload
+
+
+SIDEBAND = ["cool", "--sideband", "3"]
+THERMO = {"beta_i": 1.0, "beta": 0.8, "E": 1.0}
+
+
+class TestPayloadKeys:
+    """Each subcommand reads its payload through a key table: a key it does not
+    read, a non-number or a non-integer count exits 2 instead of being ignored
+    or coerced."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_mode_answers_its_payload(self, tmp_path, capsys, mode):
+        argv, payload, _ = MODES[mode]
+        assert main(argv + ["--input", write_payload(tmp_path, payload), "--output", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("mode, path", OBJECTS, ids=[".".join(map(str, [m] + p)) for m, p in OBJECTS])
+    def test_an_unread_key_is_refused(self, tmp_path, capsys, mode, path):
+        argv, payload, _ = MODES[mode]
+        err = assert_refused(tmp_path, capsys, argv, with_key(payload, path, "unread", 1.0))
+        assert "reads no 'unread' key" in err
+
+    # Each of these once exited 0, answering as if the key were absent.
+    @pytest.mark.parametrize(
+        "argv, payload, key",
+        [
+            pytest.param(SIDEBAND, {"nu0": 2.0, "beta": 1.0, "nu_b": 2.0}, "nu_b", id="sideband-nu_b"),
+            pytest.param(SIDEBAND, {"nu0": 2.0, "beta": 1.0, "steps": [{"p": 0.1}]}, "steps", id="sideband-steps"),
+            # a misspelt z0 ran the protocol from the unsqueezed state
+            pytest.param(["cool"], {"nu0": 2.0, "nu_b": 2.0, "z_0": 4.0}, "z_0", id="cool-z_0"),
+            # a misspelt vartheta answered the phase-insensitive theorem: p = 0.5 instead of 0.0778
+            pytest.param(["feasible"], dict(TestFeasible.WORKED, varthetta=0.7), "varthetta", id="varthetta"),
+            pytest.param(
+                ["apply"],
+                {"state": STATE, "single_mode_gto": {"p": 0.5, "nu_b": 2.0, "Phi": 0.3}},
+                "Phi",
+                id="single_mode_gto-Phi",
+            ),
+            pytest.param(
+                ["cool"],
+                {"nu0": 3.0, "nu_b": 2.0, "steps": [{"unitary": np.eye(2).tolist(), "p": 0.5, "squeeze": 2.0}]},
+                "squeeze",
+                id="step-unitary-and-squeeze",
+            ),
+            pytest.param(["validate"], dict(STATE, tol=1e-3), "tol", id="validate-tol"),
+            pytest.param(["thermo-curve"], dict(THERMO, n=45), "n", id="thermo-curve-n"),
+        ],
+    )
+    def test_a_key_once_ignored_is_refused(self, tmp_path, capsys, argv, payload, key):
+        err = assert_refused(tmp_path, capsys, argv, payload)
+        assert f"reads no '{key}' key" in err
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            # the channel once won silently
+            (["apply"], dict(MODES["apply-channel"][1], single_mode_gto={"p": 0.5, "nu_b": 2.0})),
+            (["decompose"], {"cm": np.diag([8.0, 0.5]).tolist(), "unitary": to_complex_json(np.eye(2))}),
+        ],
+        ids=["apply-channel-and-single_mode_gto", "decompose-cm-and-unitary"],
+    )
+    def test_two_alternatives_are_refused(self, tmp_path, capsys, argv, payload):
+        err = assert_refused(tmp_path, capsys, argv, payload)
+        assert "reads exactly one of" in err
+
+    # Each of these was once converted and answered with exit 0.
+    @pytest.mark.parametrize(
+        "argv, payload, message",
+        [
+            pytest.param(["validate"], dict(STATE, n_modes=1.9), "'n_modes' must be a JSON integer", id="n_modes"),
+            pytest.param(["thermo-curve"], dict(THERMO, N=45.9), "'N' must be a JSON integer", id="N-45.9"),
+            pytest.param(["thermo-curve"], dict(THERMO, N=45.0), "'N' must be a JSON integer", id="N-45.0"),
+            pytest.param(
+                ["feasible"], dict(TestFeasible.WORKED, nu_i=True), "'nu_i' must be a JSON number", id="nu_i-true"
+            ),
+            pytest.param(
+                ["feasible"], dict(TestFeasible.WORKED, nu_b="2"), "'nu_b' must be a JSON number", id="nu_b-string"
+            ),
+            pytest.param(["cool"], {"nu0": "5", "nu_b": 2.0}, "'nu0' must be a JSON number", id="nu0-string"),
+            pytest.param(
+                ["cool"], {"nu0": 5.0, "nu_b": 2.0, "steps": [{"p": True}]}, "'p' must be a JSON number", id="p"
+            ),
+            pytest.param(
+                ["validate"], dict(STATE, cm=[["2", 0], [0, 2]]), "'cm' must be an array of numbers", id="cm-string"
+            ),
+            # np.asarray([[2, 0], [0, True]]) has an integer dtype
+            pytest.param(
+                ["validate"], dict(STATE, cm=[[2, 0], [0, True]]), "'cm' must be an array of numbers", id="cm-bool"
+            ),
+            pytest.param(
+                ["apply"],
+                with_key(MODES["apply-gto"][1], ["gto", "spectrum", "sectors", 0], "mode_indices", [0.0]),
+                "'mode_indices[0]' must be a JSON integer",
+                id="mode_indices-float",
+            ),
+            # a third entry of a [re, im] pair was dropped
+            pytest.param(
+                ["decompose"],
+                {"unitary": [[[1, 0, 5], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]},
+                "'unitary' must be a matrix of [re, im] pairs",
+                id="unitary-triples",
+            ),
+        ],
+    )
+    def test_a_coerced_value_is_refused(self, tmp_path, capsys, argv, payload, message):
+        err = assert_refused(tmp_path, capsys, argv, payload)
+        assert message in err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -79,17 +80,24 @@ class TestProtocolStep:
         with pytest.raises(ValueError):
             ProtocolStep(unitary=np.eye(2), gto_p=1.5)
 
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, gtokit_run):
+        # ``gtokit cool`` reads a step given by its unitary, p and phi
         step = ProtocolStep.from_params(squeeze=1.5, rotate=0.3, p=0.4, phi=0.2)
-        again = ProtocolStep.from_dict(step.to_dict())
-        assert_allclose(again.unitary, step.unitary)
-        assert again.gto_p == step.gto_p
-        assert again.gto_phi == step.gto_phi
+        steps = [{"unitary": step.unitary.tolist(), "p": 0.4, "phi": 0.2}]
+        payload = {"nu0": 3.0, "z0": 1.2, "nu_b": 2.0, "steps": steps}
+        code, out = gtokit_run(["cool", "--json"], payload)
+        assert code == 0
+        initial = GaussianState(1, np.zeros(2), 3.0 * squeezer(1.2))
+        assert json.loads(out)["steps"] == [list(s) for s in run_protocol(initial, [step], 2.0).steps]
 
-    def test_from_dict_accepts_params_form(self):
-        step = ProtocolStep.from_dict({"squeeze": 1.5, "rotate": 0.3, "p": 0.4})
-        assert_allclose(step.unitary, rotation(0.3) @ squeezer(1.5))
-        assert step.gto_phi == 0.0
+    def test_cli_reads_the_params_form(self, gtokit_run):
+        # squeeze and rotate build rotation(rotate) @ squeezer(squeeze); phi defaults to 0
+        payload = {"nu0": 3.0, "z0": 1.2, "nu_b": 2.0, "steps": [{"squeeze": 1.5, "rotate": 0.3, "p": 0.4}]}
+        code, out = gtokit_run(["cool", "--json"], payload)
+        assert code == 0
+        step = ProtocolStep(unitary=rotation(0.3) @ squeezer(1.5), gto_p=0.4)
+        initial = GaussianState(1, np.zeros(2), 3.0 * squeezer(1.2))
+        assert json.loads(out)["steps"] == [list(s) for s in run_protocol(initial, [step], 2.0).steps]
 
 
 class TestRunProtocol:

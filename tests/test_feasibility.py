@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -262,19 +263,34 @@ class TestNecessaryBounds:
 
 
 class TestSerialization:
-    def test_query_round_trip(self):
-        q = TransformQuery(nu_i=2.0, z_i=4.0, nu_f=2.5, z_f=2.0, nu_b=2.0)
-        assert TransformQuery.from_dict(q.to_dict()) == q
-        assert "vartheta" not in q.to_dict()
+    """Queries are read and verdicts written only by ``gtokit feasible``."""
 
-    def test_squeezed_query_round_trip(self):
-        q = TransformQuery(nu_i=2.0, z_i=4.0, nu_f=2.5, z_f=2.0, nu_b=2.0, vartheta=0.3)
-        assert TransformQuery.from_dict(q.to_dict()) == q
+    QUERY = {"nu_i": 2.0, "z_i": 4.0, "nu_f": 2.5, "z_f": 2.0, "nu_b": 2.0}
 
-    def test_result_round_trip(self):
-        res = single_mode_feasible(
-            TransformQuery(nu_i=2.0, z_i=4.0, nu_f=2.5, z_f=2.0, nu_b=2.0)
-        )
-        d = res.to_dict()
-        assert d["feasible"] is True
-        assert abs(d["p"] - 0.5) <= 1e-10
+    def test_query_round_trip(self, gtokit_run):
+        code, out = gtokit_run(["feasible"], self.QUERY)
+        res = single_mode_feasible(TransformQuery(**self.QUERY))
+        assert code == 0
+        assert json.loads(out) == {
+            "feasible": True,
+            "p": res.p,
+            "reason": "ok",
+            "bounds": {"nu_f>=min(nu_i,nu_b)": True, "z_f<=z_i": True},
+        }
+
+    def test_squeezed_query_round_trip(self, gtokit_run):
+        code, out = gtokit_run(["feasible"], dict(self.QUERY, vartheta=0.3))
+        res = squeezed_bath_feasible(TransformQuery(**self.QUERY, vartheta=0.3))
+        assert code == (0 if res.feasible else 1)
+        assert json.loads(out) == {
+            "feasible": res.feasible,
+            "p": res.p,
+            "reason": res.reason,
+            "bounds": {"nu_f>=min(nu_i,nu_b)": True},
+        }
+
+    def test_result_round_trip(self, gtokit_run):
+        code, out = gtokit_run(["feasible"], self.QUERY)
+        assert code == 0
+        assert list(json.loads(out)) == ["feasible", "p", "reason", "bounds"]
+        assert abs(json.loads(out)["p"] - 0.5) <= 1e-10

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 import gtokit
-from gtokit.channels import _complex_matrix_to_json
 
 BLOCK_SCIPY = """
 import sys
@@ -72,6 +71,12 @@ TWO_MODES = {
     "first_moments": [0.5, 0.0, -1.0, 0.2],
     "cm": [[3.0, 0.4, 0.0, 0.0], [0.4, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 2.0]],
 }
+
+
+def complex_json(M) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+
 BEAM_SPLITTER = np.array([[np.cos(0.4), np.sin(0.4)], [-np.sin(0.4), np.cos(0.4)]]) * np.exp(0.3j)
 TWO_MODE_GTO = {
     "spectrum": {
@@ -80,7 +85,7 @@ TWO_MODE_GTO = {
     },
     "beta": 0.8,
     "sectors": [
-        {"Z": _complex_matrix_to_json(BEAM_SPLITTER), "thetas": [0.3, 1.1], "W": _complex_matrix_to_json(np.eye(2))}
+        {"Z": complex_json(BEAM_SPLITTER), "thetas": [0.3, 1.1], "W": complex_json(np.eye(2))}
     ],
 }
 
