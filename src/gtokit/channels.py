@@ -18,6 +18,7 @@ from .states import GaussianState, FrequencySpectrum, _check_nu, nu_of, validate
 from .symplectic import (
     STRUCTURAL_TOL,
     CosineSineForm,
+    _check_finite,
     _check_square_even,
     _check_unitary,
     _is_symmetric,
@@ -44,16 +45,17 @@ def _symplectic_inverse(S: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianChannel:
-    """Completely positive Gaussian map ``(X, Y, d)``."""
+    """Gaussian map ``(X, Y, d)`` with finite entries; :func:`validate_channel`
+    checks complete positivity."""
 
     X: np.ndarray
     Y: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
+        self.X = _check_finite(np.asarray(self.X, dtype=float), "X")
+        self.Y = _check_finite(np.asarray(self.Y, dtype=float), "Y")
+        self.d = _check_finite(np.asarray(self.d, dtype=float), "d")
         dim = 2 * _check_square_even(self.X, "X")
         if self.Y.shape != (dim, dim):
             raise ValueError(f"Y must match X, got {self.Y.shape} vs {self.X.shape}")
@@ -87,7 +89,7 @@ class GTOSector:
     def __post_init__(self):
         self.Z = np.asarray(self.Z, dtype=complex)
         self.W = np.asarray(self.W, dtype=complex)
-        self.thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
+        self.thetas = _check_finite(np.atleast_1d(np.asarray(self.thetas, dtype=float)), "thetas")
 
     @property
     def n_modes(self) -> int:

@@ -115,7 +115,9 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
         floor) that stays False on every physical run.
 
     Raises:
-        ValueError: on invalid input, or if rounding makes a step's output
+        ValueError: on invalid input; if step k's output covariance matrix
+            or its determinant overflows ("protocol step k overflows", with
+            no numpy warning); or if rounding makes a step's output
             unphysical ("input state has an invalid covariance matrix").
     """
     if initial.n_modes != 1:
@@ -130,15 +132,26 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
     nu_0 = _nu_of_cm(cm)
     bound = entropy_lower_bound(nu_0, nu_b)
     trace = [(nu_0, entropy(nu_0))]
-    for step in steps:
-        U = step.unitary
-        X, Y = _single_mode_xy(step.gto_p, step.gto_phi, nu_b, S, S_inv)
-        cm, r = _act(X, Y, _ZERO_2, U @ cm @ U.T, U @ r)
-        det = np.linalg.det(cm)
-        if not (cm[0, 0] > 0.0 and det >= _MIN_DET):
-            raise ValueError("input state has an invalid covariance matrix")
-        nu = _nu_of_det(det)
-        trace.append((nu, entropy(nu)))
+    # An overflowing step is told apart only once a step has failed, so the
+    # arithmetic warnings it raises on the way there are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for step in steps:
+                U = step.unitary
+                X, Y = _single_mode_xy(step.gto_p, step.gto_phi, nu_b, S, S_inv)
+                cm, r = _act(X, Y, _ZERO_2, U @ cm @ U.T, U @ r)
+                det = np.linalg.det(cm)
+                if not (cm[0, 0] > 0.0 and det >= _MIN_DET):
+                    raise ValueError("input state has an invalid covariance matrix")
+                nu = _nu_of_det(det)
+                trace.append((nu, entropy(nu)))
+        except ValueError:
+            if np.isfinite(cm).all() and np.isfinite(np.linalg.det(cm)):
+                raise
+            raise ValueError(
+                f"protocol step {len(trace)} overflows: its output covariance matrix "
+                "or that matrix's determinant is not finite"
+            ) from None
 
     violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))
     return CoolingTrace(steps=trace, bound=bound, violated=violated)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .symplectic import (
     STRUCTURAL_TOL,
+    _check_finite,
     _check_spd,
     _is_symmetric,
     symplectic_eigenvalues,
@@ -35,15 +36,18 @@ def squeezer(z: float) -> np.ndarray:
 
 @dataclass
 class GaussianState:
-    """First moments and covariance matrix of an n-mode Gaussian state."""
+    """First moments and covariance matrix of an n-mode Gaussian state.
+
+    Both must be finite; physicality is :func:`validate_state`'s question.
+    """
 
     n_modes: int
     first_moments: np.ndarray
     cm: np.ndarray
 
     def __post_init__(self):
-        self.first_moments = np.asarray(self.first_moments, dtype=float)
-        self.cm = np.asarray(self.cm, dtype=float)
+        self.first_moments = _check_finite(np.asarray(self.first_moments, dtype=float), "first_moments")
+        self.cm = _check_finite(np.asarray(self.cm, dtype=float), "cm")
         d = 2 * self.n_modes
         if self.first_moments.shape != (d,):
             raise ValueError(

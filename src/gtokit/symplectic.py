@@ -7,9 +7,9 @@ are handled through their complex unitary representation: the n x n unitary
 U corresponds to the 2n x 2n real matrix whose (j, k) block is
 [[Re U_jk, Im U_jk], [-Im U_jk, Re U_jk]].
 
-Only three kernels need LAPACK routines that scipy alone provides
-(``williamson``, ``triangularize_offdiagonal``, ``cosine_sine_decompose``);
-each imports them when it runs, so importing gtokit loads numpy only.
+Every kernel runs on numpy's LAPACK alone: the runtime needs numpy only.
+The Williamson form and the symplectic eigenvalues share one Hermitian
+eigenproblem, and the cosine-sine decomposition is built from SVDs.
 """
 
 from dataclasses import dataclass, field
@@ -19,15 +19,13 @@ import numpy as np
 STRUCTURAL_TOL = 1e-9
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_SWAP_2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def block_diag(*blocks) -> np.ndarray:
     """Direct sum of 2-D blocks: each on the diagonal, zeros elsewhere.
 
     The numpy counterpart of ``scipy.linalg.block_diag``: same placement and
-    the same dtype (``np.result_type`` of the blocks), so importing gtokit
-    does not load scipy.
+    the same dtype (``np.result_type`` of the blocks).
     """
     blocks = [np.atleast_2d(b) for b in blocks] or [np.zeros((1, 0))]
     rows, cols = map(sum, zip(*(b.shape for b in blocks)))
@@ -84,12 +82,19 @@ def is_passive(S: np.ndarray) -> bool:
     return bool(np.abs(S @ S.T - np.eye(S.shape[0])).max() <= STRUCTURAL_TOL)
 
 
+def _check_finite(M: np.ndarray, name: str) -> np.ndarray:
+    """Refuse ``M`` if any entry is NaN or infinite, naming it ``name``."""
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite")
+    return M
+
+
 def _check_unitary(U: np.ndarray, tol: float, name: str = "U") -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"{name} must be square, got shape {U.shape}")
     err = np.abs(U @ U.conj().T - np.eye(U.shape[0])).max()
-    if err > tol:
+    if not err <= tol:  # a NaN deviation is refused too
         raise ValueError(f"{name} is not unitary (deviation {err:.3e} > {tol:.3e})")
     return U
 
@@ -170,8 +175,7 @@ def _check_spd(P: np.ndarray, tol: float, name: str = "P") -> np.ndarray:
     """Refuse ``P`` unless square, even, finite, symmetric within ``tol`` and positive definite."""
     P = np.asarray(P, dtype=float)
     _check_square_even(P, name)
-    if not np.isfinite(P).all():
-        raise ValueError(f"{name} must be finite")
+    _check_finite(P, name)
     if not _is_symmetric(P, tol):
         raise ValueError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(P).min() <= 0:
@@ -179,14 +183,32 @@ def _check_spd(P: np.ndarray, tol: float, name: str = "P") -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def _symplectic_hermitian(P: np.ndarray, tol: float):
+    """Cholesky factor ``L`` of a checked ``P`` and the Hermitian ``i L^T Omega L``.
+
+    ``L^T Omega L`` is antisymmetric and similar to ``Omega P``, so the
+    Hermitian matrix has eigenvalues ``+-nu_j``: its top n eigenvalues are
+    the symplectic eigenvalues of ``P``.
+    """
+    P = _check_spd(P, tol)
+    L = np.linalg.cholesky(P)
+    return L, 1j * (L.T @ omega(P.shape[0] // 2) @ L)
+
+
 def williamson(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> WilliamsonForm:
     """Williamson decomposition of a positive-definite matrix of even dimension.
 
     Finds a symplectic ``S`` and symplectic eigenvalues ``nu_j`` (sorted
-    descending) with ``S (direct sum of nu_j 1_2) S^T = P``.  The construction
-    takes the real Schur form of the antisymmetric matrix
-    ``P^{-1/2} Omega P^{-1/2}``, whose 2x2 blocks carry ``1/nu_j``, and sets
-    ``S = P^{1/2} Q D^{-1/2}``.
+    descending) with ``S (direct sum of nu_j 1_2) S^T = P``.  With
+    ``P = L L^T``, each eigenvector ``v_j`` of ``i L^T Omega L`` for
+    ``+nu_j`` gives the orthonormal real pair ``sqrt(2) (Im v_j, Re v_j)``;
+    these columns form an orthogonal ``K`` with
+    ``K^T L^T Omega L K = direct sum of nu_j Omega_1``, so
+    ``S = L K D^{-1/2}`` is symplectic.  Each ``v_j`` is phased so that its
+    first largest-magnitude entry is ``+i |.|``, and equal ``nu_j`` (to
+    rounding) keep the input's mode order, so a diagonal ``P`` whose
+    symplectic eigenvalues do not increase along the modes gives a
+    diagonal ``S``.
 
     Args:
         P: symmetric positive-definite matrix, shape (2n, 2n).
@@ -195,59 +217,42 @@ def williamson(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> WilliamsonForm:
     Returns:
         WilliamsonForm with ``S`` symplectic and ``nus`` sorted descending.
     """
-    from scipy.linalg import schur
+    L, A = _symplectic_hermitian(P, tol)
+    n = L.shape[0] // 2
+    w, V = np.linalg.eigh(A)
+    nus, V = w[n:][::-1], V[:, n:][:, ::-1]
+    if not nus[-1] > 0:
+        raise ValueError("P is numerically singular under the symplectic form")
 
-    P = _check_spd(P, tol)
-    n = P.shape[0] // 2
-    Om = omega(n)
+    # Eigenvectors of nu_j equal to within eigh's rounding (2n ulps of the
+    # largest) are ordered by the position of their largest entry; nus stays
+    # sorted, so it moves by rounding at most.
+    lead = np.argmax(np.abs(V), axis=0)
+    drops = np.diff(nus) < -2 * n * np.spacing(nus[0])
+    order = np.lexsort((lead, np.cumsum(np.concatenate(([False], drops)))))
+    V, lead = V[:, order], lead[order]
+    top = V[lead, np.arange(n)]
+    V = V * (1j * np.abs(top) / top)
 
-    w, V = np.linalg.eigh(P)
-    sqrt_P = (V * np.sqrt(w)) @ V.T
-    inv_sqrt_P = (V * (1.0 / np.sqrt(w))) @ V.T
-
-    M = inv_sqrt_P @ Om @ inv_sqrt_P
-    M = 0.5 * (M - M.T)
-    T, Q = schur(M, output="real")
-
-    # Schur form of a nonsingular antisymmetric matrix is block diagonal with
-    # 2x2 blocks [[0, b], [-b, 0]]; flip each block so b > 0 and read nu = 1/b.
-    nus = np.empty(n)
-    fixups = []
-    for j in range(n):
-        b = T[2 * j, 2 * j + 1]
-        if abs(b) < 1e-300:
-            raise ValueError("P is numerically singular under the symplectic form")
-        if b < 0:
-            fixups.append(_SWAP_2)
-            b = -b
-        else:
-            fixups.append(np.eye(2))
-        nus[j] = 1.0 / b
-    Q = Q @ block_diag(*fixups)
-
-    order = np.argsort(-nus, kind="stable")
-    nus = nus[order]
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    Q = Q[:, cols]
-
-    S = (sqrt_P @ Q) * (1.0 / np.sqrt(np.repeat(nus, 2)))
+    # Each part has norm 1/sqrt(2); dividing by the computed norm keeps the
+    # unit vectors of a diagonal P exact.
+    K = np.empty((2 * n, 2 * n))
+    K[:, 0::2] = V.imag
+    K[:, 1::2] = V.real
+    K /= np.linalg.norm(K, axis=0)
+    S = (L @ K) * (1.0 / np.sqrt(np.repeat(nus, 2)))
     return WilliamsonForm(S=S, nus=nus)
 
 
 def symplectic_eigenvalues(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive-definite matrix, descending.
 
-    With the Cholesky factor ``P = L L^T``, the matrix ``L^T Omega L`` is
-    similar to ``Omega P`` and antisymmetric, so ``i L^T Omega L`` is Hermitian
-    with eigenvalues ``+-nu_j``.  A Hermitian eigensolver returns them in
-    ascending order; the top n, reversed, are the result.
+    The top n eigenvalues of the Hermitian ``i L^T Omega L`` that
+    :func:`williamson` diagonalises, reversed.
     """
-    P = _check_spd(P, tol)
-    n = P.shape[0] // 2
-    L = np.linalg.cholesky(P)
-    return np.linalg.eigvalsh(1j * (L.T @ omega(n) @ L))[n:][::-1].copy()
+    L, A = _symplectic_hermitian(P, tol)
+    n = L.shape[0] // 2
+    return np.linalg.eigvalsh(A)[n:][::-1].copy()
 
 
 def triangularize_offdiagonal(U: np.ndarray, n: int, m: int):
@@ -269,8 +274,6 @@ def triangularize_offdiagonal(U: np.ndarray, n: int, m: int):
     Returns:
         Tuple ``(U_m, V_m, U_reduced)``.
     """
-    from scipy.linalg import qr
-
     if m < n:
         raise ValueError(f"bath block must be at least as large as system (m={m} < n={n})")
     U = _check_unitary(U, STRUCTURAL_TOL)
@@ -281,9 +284,9 @@ def triangularize_offdiagonal(U: np.ndarray, n: int, m: int):
     gamma_t = U[n:, :n]
     # beta @ V_m becomes lower-triangular-leading: QR of beta^H gives
     # beta = R^H Q^H with R^H in the target shape.
-    V_m, _ = qr(beta.conj().T)
+    V_m = np.linalg.qr(beta.conj().T, mode="complete")[0]
     # U_m @ gamma_t becomes upper-triangular (top n x n part): plain QR.
-    Q_g, _ = qr(gamma_t)
+    Q_g = np.linalg.qr(gamma_t, mode="complete")[0]
     U_m = Q_g.conj().T
 
     left = block_diag(np.eye(n), U_m)
@@ -321,14 +324,41 @@ class CosineSineForm:
         return block_diag(self.W, self.X) @ self.middle_factor() @ block_diag(self.Z, self.Y)
 
 
+def _nearest_unitary(M: np.ndarray) -> np.ndarray:
+    """Unitary factor of the polar decomposition of ``M``: the nearest unitary in Frobenius norm."""
+    u, _, vh = np.linalg.svd(M)
+    return u @ vh
+
+
+def _small_sine_factors(G: np.ndarray, X_large: np.ndarray):
+    """SVD ``G = F diag(s) Q^H`` restricted to the complement of ``X_large``'s columns.
+
+    ``G`` holds the small-sine columns of ``U21 Z^H``; its columns lie in the
+    orthogonal complement of the large-sine columns of ``X``, spanned by the
+    orthonormal ``N``.  The SVD of ``N^H G`` keeps ``F = N P`` orthogonal to
+    ``X_large`` even where a sine vanishes and its left vector is arbitrary.
+    """
+    N = np.linalg.qr(X_large, mode="complete")[0][:, X_large.shape[1]:]
+    P, s, Qh = np.linalg.svd(N.conj().T @ G)
+    return N @ P, s, Qh
+
+
 def cosine_sine_decompose(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> CosineSineForm:
     """Cosine-sine decomposition of a 2n x 2n unitary into the beam-splitter form.
 
-    The angles satisfy ``sin(thetas[j]) = j-th singular value`` of the
-    top-right n x n block, clamped to [0, 1], so ``thetas`` lies in
-    [0, pi/2] sorted ascending; the quadrant freedom is absorbed into the
-    block unitaries.  The residual phase gauge of ``Z`` is whatever the
-    underlying LAPACK CSD produces; it is deterministic but not canonicalized.
+    The angles satisfy ``cos(thetas[j]) = j-th singular value`` of the
+    top-left n x n block, so ``thetas`` lies in [0, pi/2] sorted ascending;
+    the quadrant freedom is absorbed into the block unitaries.  The factors
+    come from SVDs, after Stewart's algorithm: the SVD ``U11 = W C Z`` fixes
+    ``W``, ``C`` and ``Z``; each large-sine column (``cos < 1/sqrt 2``) of
+    ``X`` is ``-(U21 Z^H)/sin``; the small-sine columns come from an SVD
+    restricted to the complement of the large-sine ones, whose right vectors
+    re-rotate those rows of ``Z`` and whose singular values are the small
+    sines, and ``W`` and the cosines are read again from ``U11 Z^H``.  Each
+    row of ``Y`` is ``W^H U12 / sin`` or ``X^H U22 / cos``, whichever divisor
+    is larger.  ``W``, ``X``, ``Z`` and ``Y`` are finally projected to the
+    nearest unitary.  The residual phase gauge is deterministic but not
+    canonicalized.
 
     Args:
         U: 2n x 2n unitary.
@@ -337,23 +367,35 @@ def cosine_sine_decompose(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> CosineS
     Returns:
         CosineSineForm whose :meth:`~CosineSineForm.reconstruct` matches ``U``.
     """
-    from scipy.linalg import cossin
-
     U = _check_unitary(U, tol)
-    n2 = _check_square_even(U, "U")
+    n = _check_square_even(U, "U")
+    U11, U12, U21, U22 = U[:n, :n], U[:n, n:], U[n:, :n], U[n:, n:]
 
-    u, cs, vdh = cossin(U, p=n2, q=n2)
-    cosines = np.clip(np.diag(cs[:n2, :n2]).real, -1.0, 1.0)
-    sines = np.clip(np.diag(cs[n2:, :n2]).real, 0.0, 1.0)
-    thetas = np.arctan2(sines, cosines)
+    W, cos, Z = np.linalg.svd(U11)  # cosines descending: small-sine columns first
+    G = U21 @ Z.conj().T
+    m = int(np.count_nonzero(cos >= np.sqrt(0.5)))
+    sin = np.empty(n)
+    X = np.empty((n, n), dtype=complex)
+    sin[m:] = np.linalg.norm(G[:, m:], axis=0)
+    X[:, m:] = -G[:, m:] / sin[m:]
+    if m:
+        F, s, Qh = _small_sine_factors(G[:, :m], X[:, m:])
+        # Reverse to ascending sines, hence ascending angles.
+        X[:, :m] = -F[:, ::-1]
+        sin[:m] = s[::-1]
+        Z[:m] = Qh[::-1] @ Z[:m]
+        WC = U11 @ Z[:m].conj().T
+        cos[:m] = np.linalg.norm(WC, axis=0)
+        W[:, :m] = WC / cos[:m]
 
-    # cossin returns U = (U1+U2) [[C,-S],[S,C]] (V1h+V2h); conjugating the
-    # middle factor by 1_n + (-1_n) converts it to [[C,S],[-S,C]].
-    W = u[:n2, :n2]
-    X = -u[n2:, n2:]
-    Z = vdh[:n2, :n2]
-    Y = -vdh[n2:, n2:]
-    return CosineSineForm(W=W, X=X, Z=Z, Y=Y, thetas=thetas)
+    by_sin = sin >= cos
+    Y = np.where(
+        by_sin[:, None],
+        (W.conj().T @ U12) / np.where(by_sin, sin, 1.0)[:, None],
+        (X.conj().T @ U22) / np.where(by_sin, 1.0, cos)[:, None],
+    )
+    W, X, Z, Y = map(_nearest_unitary, (W, X, Z, Y))
+    return CosineSineForm(W=W, X=X, Z=Z, Y=Y, thetas=np.arctan2(sin, cos))
 
 
 def build_isotropy_element(multiplicities, blocks) -> np.ndarray:

@@ -53,6 +53,44 @@ def uniform_sector_spec(n, omega, beta, Z, thetas, W, S=None):
     return GTOSpec(spectrum=spectrum, beta=beta, sectors=[GTOSector(Z=Z, thetas=thetas, W=W)])
 
 
+def unchecked_channel(**fields):
+    """The one-mode identity channel with ``fields`` assigned after construction,
+    which bypasses the constructor's finiteness check."""
+    ch = GaussianChannel.identity(1)
+    for name, value in fields.items():
+        setattr(ch, name, np.asarray(value, dtype=float))
+    return ch
+
+
+class TestNonFiniteConstruction:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["X", "Y", "d"])
+    def test_channel_refuses_and_names_the_field(self, field, bad):
+        fields = {"X": np.eye(2), "Y": np.zeros((2, 2)), "d": np.zeros(2)}
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GaussianChannel(**fields)
+
+    def test_channel_repro(self):
+        # Used to build a channel whose X holds inf.
+        with pytest.raises(ValueError, match="^X must be finite"):
+            GaussianChannel(X=[[math.inf, 0.0], [0.0, 1.0]], Y=np.zeros((2, 2)), d=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sector_refuses_non_finite_thetas(self, bad):
+        with pytest.raises(ValueError, match="^thetas must be finite"):
+            GTOSector(Z=np.eye(1), thetas=[bad], W=np.eye(1))
+
+    @pytest.mark.parametrize("block", ["Z", "W"])
+    def test_spec_refuses_a_nan_sector_unitary(self, block):
+        # A NaN deviation from unitarity used to pass the check (NaN > tol is False).
+        blocks = {"Z": np.eye(1), "W": np.eye(1)}
+        blocks[block] = np.array([[math.nan]])
+        with pytest.raises(ValueError, match=f"^{block} is not unitary"):
+            uniform_sector_spec(1, 1.0, 1.0, blocks["Z"], [0.3], blocks["W"])
+
+
 class TestValidateChannel:
     def test_identity(self):
         assert validate_channel(GaussianChannel.identity(1))
@@ -71,7 +109,7 @@ class TestValidateChannel:
         assert not validate_channel(ch)
 
     def test_non_finite_noise_fails(self):
-        ch = GaussianChannel(np.eye(2), np.diag([math.nan, 1.0]), np.zeros(2))
+        ch = unchecked_channel(Y=np.diag([math.nan, 1.0]))
         assert not validate_channel(ch)
 
     # "error": a non-finite X must be refused before the complete-positivity
@@ -79,12 +117,12 @@ class TestValidateChannel:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_transfer_fails(self, bad):
-        ch = GaussianChannel(np.diag([bad, 1.0]), np.zeros((2, 2)), np.zeros(2))
+        ch = unchecked_channel(X=np.diag([bad, 1.0]))
         assert not validate_channel(ch)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_displacement_fails(self, bad):
-        ch = GaussianChannel(np.eye(2), np.zeros((2, 2)), np.array([bad, 0.0]))
+        ch = unchecked_channel(d=[bad, 0.0])
         assert not validate_channel(ch)
         with pytest.raises(ValueError, match="complete-positivity"):
             apply_channel(ch, GaussianState.vacuum(1))

@@ -345,6 +345,17 @@ class TestCool:
         assert min(nu for nu, _ in out["steps"]) >= min(nu0, nu_b) - 1e-9
 
 
+class TestOverflowingStep:
+    @pytest.mark.parametrize("squeeze", [1e200, 1e-200])
+    def test_cool_names_the_step_and_prints_no_warning(self, tmp_path, capsys, squeeze):
+        payload = {"nu0": 2, "nu_b": 2, "steps": [{"squeeze": squeeze, "p": 0.5}]}
+        err = assert_refused(tmp_path, capsys, ["cool"], payload)
+        assert err == (
+            "error: protocol step 1 overflows: its output covariance matrix "
+            "or that matrix's determinant is not finite\n"
+        )
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, text",
@@ -416,6 +427,22 @@ class TestDecompose:
         assert nf["nu"] == pytest.approx(2.0)
         assert nf["z"] == pytest.approx(4.0)
         assert nf["phi"] == pytest.approx(0.0)
+
+    def test_readme_example_prints_the_exact_factor(self, tmp_path):
+        rc, out = run_json(tmp_path, ["decompose"], {"cm": np.diag([8.0, 0.5]).tolist()})
+        assert rc == 0
+        assert out["S"] == [[2.0, 0.0], [0.0, 0.5]]
+
+    # Symplectic eigenvalues that do not increase along the modes, with ties.
+    @pytest.mark.parametrize(
+        "diagonal", [[2.0] * 4, [1.0] * 6, [9.0, 1.0, 1.0, 4.0, 2.0, 2.0], [18.0, 0.5, 3.0, 3.0, 3.0, 3.0, 1.0, 1.0]]
+    )
+    def test_diagonal_covariance_matrix_gives_a_diagonal_factor(self, tmp_path, diagonal):
+        rc, out = run_json(tmp_path, ["decompose"], {"cm": np.diag(diagonal).tolist()})
+        assert rc == 0
+        S, nus = np.array(out["S"]), np.repeat(out["nus"], 2)
+        assert np.array_equal(S, np.diag(np.diag(S)))
+        assert_allclose(np.diag(S), np.sqrt(np.array(diagonal) / nus), rtol=1e-15)
 
     def test_unitary(self, tmp_path):
         U = random_unitary(2, 5)

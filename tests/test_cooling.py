@@ -213,8 +213,24 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("cm, r", [(math.nan * np.eye(2), np.zeros(2)), (2.0 * np.eye(2), [math.inf, 0.0])])
     def test_rejects_non_finite_initial_state(self, cm, r):
+        state = GaussianState.vacuum(1)
+        # Assigned after construction, which refuses them itself.
+        state.cm, state.first_moments = np.asarray(cm), np.asarray(r)
         with pytest.raises(ValueError, match="initial state"):
-            run_protocol(GaussianState(1, r, cm), [], nu_b=2.0)
+            run_protocol(state, [], nu_b=2.0)
+
+    # "error": the overflow is reported by the refusal, not by numpy warnings.
+    @pytest.mark.filterwarnings("error")
+    # The first three used to warn, then blame the input state; the last one's
+    # determinant overflows alone, and it was refused as "nu must be finite".
+    @pytest.mark.parametrize(
+        "params", [[(1.5, 0.0), (1e200, 0.0)], [(1.5, 0.0), (1e-200, 0.0)], [(1e-153, 0.0)] * 2, [(1.5, 0.0), (1e-153, 0.3)]]
+    )
+    def test_refuses_an_overflowing_step_by_number(self, params):
+        state = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
+        steps = [ProtocolStep.from_params(z, rotate, 0.5) for z, rotate in params]
+        with pytest.raises(ValueError, match="^protocol step 2 overflows"):
+            run_protocol(state, steps, nu_b=2.0)
 
     def test_checks_the_output_of_the_last_step(self):
         state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))

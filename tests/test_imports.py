@@ -1,9 +1,9 @@
-"""gtokit loads scipy only inside the kernels that need it.
+"""gtokit runs on numpy alone: scipy is a test-only reference.
 
-``import gtokit`` must not load scipy, and every subcommand built on closed
-forms must give the same output when scipy cannot be imported at all.  A
-finder on ``sys.meta_path`` that refuses every scipy module stands in for
-a missing scipy; each check runs in a fresh interpreter.
+``import gtokit`` must not load scipy, and every subcommand must give the
+same output when scipy cannot be imported at all.  A finder on
+``sys.meta_path`` that refuses every scipy module stands in for a missing
+scipy; each check runs in a fresh interpreter.
 """
 
 import json
@@ -89,7 +89,7 @@ TWO_MODE_GTO = {
     ],
 }
 
-# Every subcommand whose answer is a closed form or plain numpy algebra.
+# All seven subcommands, the decompositions included.
 SCIPY_FREE_CASES = [
     [["validate"], json.dumps(TWO_MODES)],
     [["feasible"], json.dumps(WORKED)],
@@ -100,6 +100,9 @@ SCIPY_FREE_CASES = [
     [["cool", "--adversary", "10"], json.dumps({"nu0": 5, "nu_b": 2})],
     [["cool", "--sideband", "9.1"], json.dumps({"nu0": 2, "beta": 1.0986})],
     [["thermo-curve"], json.dumps({"beta_i": 1.2, "beta": 0.7, "E": 1.0})],
+    [["decompose"], json.dumps({"cm": TWO_MODES["cm"]})],
+    [["decompose"], json.dumps({"unitary": complex_json(np.kron(BEAM_SPLITTER, BEAM_SPLITTER))})],
+    [["selftest", "--quick"], ""],
 ]
 
 
@@ -112,7 +115,7 @@ def test_importing_gtokit_loads_no_scipy():
     assert json.loads(proc.stdout) == []
 
 
-def test_closed_form_subcommands_run_without_scipy():
+def test_every_subcommand_runs_without_scipy():
     blocked = run_cases(SCIPY_FREE_CASES, block_scipy=True)
     free = run_cases(SCIPY_FREE_CASES, block_scipy=False)
     for (argv, _), got, want in zip(SCIPY_FREE_CASES, blocked, free):
@@ -120,8 +123,19 @@ def test_closed_form_subcommands_run_without_scipy():
     assert [code for code, _ in free] == [0] * len(SCIPY_FREE_CASES)
 
 
-def test_blocker_refuses_the_kernels_that_need_scipy():
-    # Negative control: Williamson's decomposition does need scipy.
-    proc = run_python(BLOCK_SCIPY + RUN_CASES, json.dumps([[["decompose"], json.dumps({"cm": ONE_MODE["cm"]})]]))
+def test_the_decompositions_load_no_scipy():
+    proc = run_python(
+        RUN_CASES + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+        json.dumps([case for case in SCIPY_FREE_CASES if case[0][0] in ("decompose", "selftest")]),
+    )
+    assert proc.returncode == 0, proc.stderr
+    results, loaded = proc.stdout.splitlines()
+    assert [code for code, _ in json.loads(results)] == [0, 0, 0]
+    assert json.loads(loaded) == []
+
+
+def test_the_blocker_refuses_scipy():
+    # Negative control: the blocker does stand in for a missing scipy.
+    proc = run_python(BLOCK_SCIPY + "import scipy.linalg")
     assert proc.returncode != 0
     assert "scipy is blocked" in proc.stderr

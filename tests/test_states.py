@@ -99,9 +99,23 @@ class TestValidateState:
     @given(cm=planted_cms())
     @settings(max_examples=300, deadline=None)
     def test_verdict_equals_the_numpy_statement(self, cm):
-        state = GaussianState(len(cm) // 2, np.zeros(len(cm)), cm)
+        n = len(cm) // 2
+        if not np.isfinite(cm).all():
+            with pytest.raises(ValueError, match="^cm must be finite"):
+                GaussianState(n, np.zeros(2 * n), cm)
+        # Assigned after construction, so validate_state sees the NaN too.
+        state = GaussianState.vacuum(n)
+        state.cm = cm
         for tol in VALIDATION_TOLS:
             assert validate_state(state, tol) == reference_physical(cm, tol), tol
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructor_refuses_non_finite_entries(self, bad):
+        # GaussianState(1, [nan, 0], eye(2)) used to build a state.
+        with pytest.raises(ValueError, match="^first_moments must be finite"):
+            GaussianState(1, [bad, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="^cm must be finite"):
+            GaussianState(1, np.zeros(2), np.diag([bad, 1.0]))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

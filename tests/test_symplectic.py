@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cossin
 
 from gtokit import symplectic
 from gtokit.symplectic import (
+    CosineSineForm,
     _realify,
     build_isotropy_element,
     cosine_sine_decompose,
@@ -286,6 +287,14 @@ def conditioned_spectra(draw):
 class TestSymplecticEigenvaluesConditioning:
     @given(case=conditioned_spectra())
     @settings(max_examples=300, deadline=None)
+    def test_williamson_shares_the_spectrum(self, case):
+        P, _ = case
+        form = williamson(P)
+        assert np.abs(form.nus / symplectic_eigenvalues(P) - 1).max() <= 1e-13
+        assert is_symplectic(form.S)
+
+    @given(case=conditioned_spectra())
+    @settings(max_examples=300, deadline=None)
     def test_matches_the_eigvals_route_and_the_drawn_spectrum(self, case):
         P, nus = case
         tol = 1e-13 * np.linalg.cond(P)
@@ -370,6 +379,69 @@ class TestCosineSine:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             cosine_sine_decompose(random_unitary(3, 0))
+
+
+def cossin_angles(U):
+    """Cosine-sine angles of a 2n x 2n unitary from scipy's LAPACK CSD, ascending."""
+    n = len(U) // 2
+    _, cs, _ = cossin(U, p=n, q=n)
+    return np.sort(np.arctan2(np.diag(cs[n:, :n]).real, np.diag(cs[:n, :n]).real))
+
+
+# Angles the SVD-based decomposition must resolve: both ends of the range,
+# sines and cosines near rounding, and the 1/sqrt(2) boundary between its
+# small-sine and large-sine branches.
+SPECIAL_ANGLES = (0.0, np.pi / 2, 1e-9, 1e-15, np.pi / 2 - 1e-9, np.pi / 4)
+
+
+@st.composite
+def planted_forms(draw):
+    """A cosine-sine form on 1-8 modes with Haar blocks and special or clustered angles."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        thetas = draw(st.lists(st.sampled_from(SPECIAL_ANGLES), min_size=n, max_size=n))
+    else:  # one cluster around a special angle
+        base = draw(st.sampled_from(SPECIAL_ANGLES))
+        offsets = draw(st.lists(st.sampled_from((0.0, 1e-12, -1e-12, 1e-8)), min_size=n, max_size=n))
+        thetas = np.clip(base + np.array(offsets), 0.0, np.pi / 2)
+    seed = draw(st.integers(0, 2**32 - 1))
+    W, X, Z, Y = (random_unitary(n, seed + k) for k in range(4))
+    return CosineSineForm(W=W, X=X, Z=Z, Y=Y, thetas=np.sort(thetas))
+
+
+class TestCosineSineAccuracy:
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_angles_equal_scipy_cossin(self, n, seed):
+        U = random_unitary(2 * n, seed)
+        thetas = cosine_sine_decompose(U).thetas
+        assert np.all(np.diff(thetas) >= 0)
+        assert np.abs(thetas / cossin_angles(U) - 1).max() <= 1e-13
+
+    @given(planted=planted_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_planted_angles_reconstruct(self, planted):
+        U = planted.reconstruct()
+        form = cosine_sine_decompose(U)
+        n = planted.n
+        assert np.abs(form.reconstruct() - U).max() <= 1e-12
+        for block in (form.W, form.X, form.Z, form.Y):
+            assert np.abs(block @ block.conj().T - np.eye(n)).max() <= 1e-12
+        assert np.abs(form.thetas - planted.thetas).max() <= 1e-12
+
+    @pytest.mark.parametrize("thetas", [(0.0, 1.2), (0.0, 0.0, 1.0), (0.0, 0.3, 1.4, np.pi / 2)])
+    def test_thin_svd_instead_of_the_complement_fails_at_zero_angle(self, monkeypatch, thetas):
+        # Negative control: without the complement basis N, the left vector of
+        # a zero sine is arbitrary and need not be orthogonal to the
+        # large-sine columns of X.
+        n = len(thetas)
+        planted = CosineSineForm(*(random_unitary(n, 40 + k) for k in range(4)), thetas=np.array(thetas))
+        U = planted.reconstruct()
+        assert np.abs(cosine_sine_decompose(U).reconstruct() - U).max() <= 1e-12
+        monkeypatch.setattr(
+            symplectic, "_small_sine_factors", lambda G, X_large: np.linalg.svd(G, full_matrices=False)
+        )
+        assert np.abs(cosine_sine_decompose(U).reconstruct() - U).max() > 0.1
 
 
 class TestIsotropy:

@@ -5,7 +5,8 @@
 It benchmarks the git checkout it sits in.  Each (workload, seed) pair runs
 the ``command`` of ``BENCHMARK.json`` once, untraced, for ``run_seconds``.
 The output holds the checkout's ``git describe``, the CPU count, the Python,
-numpy and scipy versions, the seeds, and per workload the median and
+numpy and scipy versions (scipy is null when it is not installed; gtokit
+does not need it), the seeds, and per workload the median and
 quartiles of each end-to-end metric and the share of attempted operations
 that failed.
 """
@@ -19,7 +20,11 @@ import subprocess
 from pathlib import Path
 
 import numpy
-import scipy
+
+try:
+    import scipy
+except ImportError:
+    scipy = None
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,7 +58,7 @@ def main() -> None:
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, check=True,
                               stdout=subprocess.PIPE, text=True).stdout.strip()
     record = {"git_describe": describe, "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-              "numpy": numpy.__version__, "scipy": scipy.__version__, "seeds": args.seeds,
+              "numpy": numpy.__version__, "scipy": scipy and scipy.__version__, "seeds": args.seeds,
               "seconds": bench["run_seconds"], "workloads": summary}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
