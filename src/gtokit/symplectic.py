@@ -388,12 +388,7 @@ def cosine_sine_decompose(U: np.ndarray, tol: float = STRUCTURAL_TOL) -> CosineS
         cos[:m] = np.linalg.norm(WC, axis=0)
         W[:, :m] = WC / cos[:m]
 
-    by_sin = sin >= cos
-    Y = np.where(
-        by_sin[:, None],
-        (W.conj().T @ U12) / np.where(by_sin, sin, 1.0)[:, None],
-        (X.conj().T @ U22) / np.where(by_sin, 1.0, cos)[:, None],
-    )
+    Y = np.where((sin >= cos)[:, None], W.conj().T @ U12, X.conj().T @ U22) / np.maximum(sin, cos)[:, None]
     W, X, Z, Y = map(_nearest_unitary, (W, X, Z, Y))
     return CosineSineForm(W=W, X=X, Z=Z, Y=Y, thetas=np.arctan2(sin, cos))
 

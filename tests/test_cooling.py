@@ -219,10 +219,10 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="initial state"):
             run_protocol(state, [], nu_b=2.0)
 
-    # "error": the overflow is reported by the refusal, not by numpy warnings.
-    @pytest.mark.filterwarnings("error")
     # The first three used to warn, then blame the input state; the last one's
     # determinant overflows alone, and it was refused as "nu must be finite".
+    # "error": the refusal alone reports the overflow, with no numpy warning.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "params", [[(1.5, 0.0), (1e200, 0.0)], [(1.5, 0.0), (1e-200, 0.0)], [(1e-153, 0.0)] * 2, [(1.5, 0.0), (1e-153, 0.3)]]
     )
