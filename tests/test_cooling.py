@@ -224,7 +224,8 @@ class TestRunProtocol:
     # "error": the refusal alone reports the overflow, with no numpy warning.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "params", [[(1.5, 0.0), (1e200, 0.0)], [(1.5, 0.0), (1e-200, 0.0)], [(1e-153, 0.0)] * 2, [(1.5, 0.0), (1e-153, 0.3)]]
+        "params",
+        [[(1.5, 0.0), (1e200, 0.0)], [(1.5, 0.0), (1e-200, 0.0)], [(1e-153, 0.0)] * 2, [(1.5, 0.0), (1e-153, 0.3)]],
     )
     def test_refuses_an_overflowing_step_by_number(self, params):
         state = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
