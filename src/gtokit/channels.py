@@ -199,20 +199,15 @@ def gto_to_channel(spec: GTOSpec) -> GaussianChannel:
     return GaussianChannel(X=S @ X_nm @ S_inv, Y=S @ Y_nm @ S.T, d=np.zeros(2 * n))
 
 
-def _act(X: np.ndarray, Y: np.ndarray, d: np.ndarray, cm: np.ndarray, r: np.ndarray) -> tuple:
-    """Unchecked channel action: ``(X cm X^T + Y`` symmetrised, ``X r + d)``."""
-    cm = X @ cm @ X.T + Y
-    return 0.5 * (cm + cm.T), X @ r + d
-
-
 def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNEL_TOL) -> GaussianState:
     """Act with a Gaussian channel on a Gaussian state.
 
     This is the checking entry point: it validates the channel
     (:func:`validate_channel`) and the input state (``validate_state``) on
-    every call before doing the algebra.  Loops whose inputs are valid by
-    construction, such as ``cooling.run_protocol``, check once at their own
-    boundary and then apply the same formula unchecked.
+    every call before doing the algebra.  ``cooling.run_protocol`` does not
+    go through it: it checks its inputs once at its own boundary and carries
+    each single-mode step in closed form on the covariance matrix's entries
+    and determinant.
 
     Args:
         ch: channel, validated before use.
@@ -230,8 +225,8 @@ def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNE
         raise ValueError("channel fails the complete-positivity check")
     if not validate_state(state, tol):
         raise ValueError("input state has an invalid covariance matrix")
-    cm, r = _act(ch.X, ch.Y, ch.d, state.cm, state.first_moments)
-    return GaussianState(state.n_modes, r, cm)
+    cm = ch.X @ state.cm @ ch.X.T + ch.Y
+    return GaussianState(state.n_modes, ch.X @ state.first_moments + ch.d, 0.5 * (cm + cm.T))
 
 
 def _check_bath(nu_b: float, S: np.ndarray | None) -> np.ndarray:
@@ -244,13 +239,6 @@ def _check_bath(nu_b: float, S: np.ndarray | None) -> np.ndarray:
     if S.shape != (2, 2) or not is_symplectic(S):
         raise ValueError("S must be a 2x2 symplectic matrix")
     return S
-
-
-def _single_mode_xy(p: float, phi: float, nu_b: float, S: np.ndarray, S_inv: np.ndarray) -> tuple:
-    """Unchecked ``(X, Y)`` of :func:`single_mode_gto`; ``S_inv`` is ``S^{-1}``."""
-    c, s = np.cos(phi), np.sin(phi)
-    D = np.array([[c, s], [-s, c]])
-    return np.sqrt(p) * S @ D @ S_inv, (1.0 - p) * nu_b * S @ S.T
 
 
 def single_mode_gto(
@@ -274,8 +262,10 @@ def single_mode_gto(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     S = _check_bath(nu_b, S)
-    X, Y = _single_mode_xy(p, phi, nu_b, S, _symplectic_inverse(S))
-    return GaussianChannel(X=X, Y=Y, d=np.zeros(2))
+    c, s = np.cos(phi), np.sin(phi)
+    D = np.array([[c, s], [-s, c]])
+    X = np.sqrt(p) * S @ D @ _symplectic_inverse(S)
+    return GaussianChannel(X=X, Y=(1.0 - p) * nu_b * S @ S.T, d=np.zeros(2))
 
 
 def dilate_and_trace(system_cm: np.ndarray, O: np.ndarray, bath_nus) -> np.ndarray:

@@ -15,22 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    CHANNEL_TOL,
-    _act,
-    _check_bath,
-    _single_mode_xy,
-    _symplectic_inverse,
-    dilate_and_trace,
-)
-from .states import GaussianState, _check_nu, entropy, nu_of, rotation, squeezer, validate_state
+from .channels import CHANNEL_TOL, _check_bath, _symplectic_inverse, dilate_and_trace
+from .states import GaussianState, _check_nu, entropy, nu_of, validate_state
 from .symplectic import is_symplectic
 
 BOUND_TOL = 1e-9
 # A single-mode CM is physical iff cm[0, 0] > 0 and det(cm) = nu^2 >= 1; the
 # slack matches the state check ``apply_channel`` makes at CHANNEL_TOL.
 _MIN_DET = (1.0 - CHANNEL_TOL) ** 2
-_ZERO_2 = np.zeros(2)
 
 # θ = π/2 beam splitter: a full state swap between the two modes.
 _SWAP_4 = np.block(
@@ -55,8 +47,12 @@ class ProtocolStep:
 
     @classmethod
     def from_params(cls, squeeze: float, rotate: float, p: float, phi: float = 0.0) -> "ProtocolStep":
-        """Build the step unitary as rotation(rotate) @ squeezer(squeeze)."""
-        return cls(unitary=rotation(rotate) @ squeezer(squeeze), gto_p=p, gto_phi=phi)
+        """Build the step unitary as rotation(rotate) @ squeezer(squeeze),
+        written entry by entry."""
+        if squeeze <= 0:
+            raise ValueError("squeeze factor must be positive")
+        c, s, inv = math.cos(rotate), math.sin(rotate), 1.0 / squeeze
+        return cls(unitary=np.array([[c * squeeze, s * inv], [-s * squeeze, c * inv]]), gto_p=p, gto_phi=phi)
 
 
 @dataclass
@@ -84,6 +80,35 @@ def _nu_of_cm(cm: np.ndarray) -> float:
     return _nu_of_det(np.linalg.det(cm))
 
 
+def _mul(A: tuple, B: tuple) -> tuple:
+    """Product of two 2x2 matrices, each given row by row as four floats."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _gto_step(a: float, b: float, c: float, det: float, M: tuple, det_m: float, p: float, q: float) -> tuple:
+    """One single-mode step ``cm -> p M cm M^T + q 1`` on Python floats.
+
+    ``cm = [[a, b], [b, c]]`` has determinant ``det``, and ``M = (m00, m01,
+    m10, m11)``, row by row, has determinant ``det_m``.  Returns the output's
+    ``(a, b, c, det)``.  With ``A = M cm M^T`` the determinant is
+    ``det(p A + q 1) = p^2 det_m^2 det + p q tr(A) + q^2``: for ``p``,
+    ``q >= 0`` every term is non-negative, so nothing cancels at any
+    conditioning, where ``a c - b^2`` loses every digit near ``1/eps``.
+    """
+    m00, m01, m10, m11 = M
+    t00, t01 = m00 * a + m01 * b, m00 * b + m01 * c
+    t10, t11 = m10 * a + m11 * b, m10 * b + m11 * c
+    a_m, c_m = t00 * m00 + t01 * m01, t10 * m10 + t11 * m11
+    return (
+        p * a_m + q,
+        p * (t00 * m10 + t01 * m11),
+        p * c_m + q,
+        p * p * (det_m * det_m * det) + p * q * (a_m + c_m) + q * q,
+    )
+
+
 def entropy_lower_bound(nu_0: float, nu_b: float) -> float:
     """Entropy floor for single-mode protocols: ``entropy(min(nu_0, nu_b))``."""
     _check_nu(nu_0, "nu_0")
@@ -96,11 +121,15 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
 
     Inputs are checked once, on entry: ``initial`` with ``validate_state``,
     ``nu_b`` and ``S`` as in ``single_mode_gto``; each step's unitary and
-    ``p`` were checked when the :class:`ProtocolStep` was built.  A channel
-    built from such inputs is completely positive, so each step then only
-    applies ``cm -> X cm X^T + Y`` and ``r -> X r + d``, and checks that the
-    output is still physical (``cm[0, 0] > 0`` and ``det(cm) >= (1 -
-    CHANNEL_TOL)^2``, the single-mode form of ``validate_state``).
+    ``p`` were checked when the :class:`ProtocolStep` was built.  The steps
+    then run in the bath frame ``cm_n = S^-1 cm S^-T``, where the channel of
+    ``single_mode_gto`` is ``cm_n -> p D_phi cm_n D_phi^T + (1 - p) nu_b 1``,
+    so a step with unitary ``U`` is ``cm_n -> p M cm_n M^T + q 1`` with
+    ``M = D_phi S^-1 U S``.  Each step carries the entries of ``cm_n`` and
+    its determinant in closed form (``det M = det U``), and checks that the
+    output is still physical (``cm_n[0, 0] > 0`` and ``det >= (1 -
+    CHANNEL_TOL)^2``, the single-mode form of ``validate_state``).  First
+    moments do not enter the trace and are not carried.
 
     Args:
         initial: single-mode starting state.
@@ -116,9 +145,10 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
 
     Raises:
         ValueError: on invalid input; if step k's output covariance matrix
-            or its determinant overflows ("protocol step k overflows", with
-            no numpy warning); or if rounding makes a step's output
-            unphysical ("input state has an invalid covariance matrix").
+            or its determinant overflows ("protocol step k overflows"); or if
+            a step's output is unphysical, as after a unitary that is not
+            symplectic was assigned to a built step ("input state has an
+            invalid covariance matrix").
     """
     if initial.n_modes != 1:
         raise ValueError("cooling protocols act on a single mode")
@@ -126,32 +156,29 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
         raise ValueError("initial state has an invalid covariance matrix")
     S = _check_bath(nu_b, S)
     S_inv = _symplectic_inverse(S)
-    cm = initial.cm
-    r = initial.first_moments
+    S_t, S_inv_t = S.ravel().tolist(), S_inv.ravel().tolist()
+    # The bath frame enters here and in M below.
+    (a, b), (_, c) = (S_inv @ initial.cm @ S_inv.T).tolist()
+    det = float(np.linalg.det(initial.cm))
 
-    nu_0 = _nu_of_cm(cm)
+    nu_0 = _nu_of_det(det)
     bound = entropy_lower_bound(nu_0, nu_b)
     trace = [(nu_0, entropy(nu_0))]
-    # An overflowing step is told apart only once a step has failed, so the
-    # arithmetic warnings it raises on the way there are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for step in steps:
-                U = step.unitary
-                X, Y = _single_mode_xy(step.gto_p, step.gto_phi, nu_b, S, S_inv)
-                cm, r = _act(X, Y, _ZERO_2, U @ cm @ U.T, U @ r)
-                det = np.linalg.det(cm)
-                if not (cm[0, 0] > 0.0 and det >= _MIN_DET):
-                    raise ValueError("input state has an invalid covariance matrix")
-                nu = _nu_of_det(det)
-                trace.append((nu, entropy(nu)))
-        except ValueError:
-            if np.isfinite(cm).all() and np.isfinite(np.linalg.det(cm)):
-                raise
+    for step in steps:
+        U = step.unitary.ravel().tolist()
+        co, si = math.cos(step.gto_phi), math.sin(step.gto_phi)
+        M = _mul((co, si, -si, co), _mul(S_inv_t, _mul(U, S_t)))
+        p = float(step.gto_p)
+        a, b, c, det = _gto_step(a, b, c, det, M, U[0] * U[3] - U[1] * U[2], p, (1.0 - p) * nu_b)
+        if not (a > 0.0 and _MIN_DET <= det < math.inf):
+            if all(map(math.isfinite, (a, b, c, det))):
+                raise ValueError("input state has an invalid covariance matrix")
             raise ValueError(
                 f"protocol step {len(trace)} overflows: its output covariance matrix "
                 "or that matrix's determinant is not finite"
-            ) from None
+            )
+        nu = _nu_of_det(det)
+        trace.append((nu, entropy(nu)))
 
     violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))
     return CoolingTrace(steps=trace, bound=bound, violated=violated)
@@ -170,12 +197,14 @@ def greedy_adversary(
     changes the output eigenvalue.
 
     The search is exact: it picks the full grid's first ``argmin`` of
-    ``f_p(t) = (p^2 det(cm) + p q t) + q^2``, with ``q = (1 - p) nu_b`` and
-    ``t = tr(U cm U^T)``.  As ``p q >= 0`` and each operation is correctly
-    rounded, ``f_p`` is monotone non-decreasing in ``t``, so the first
-    minimizing p is found at the smallest ``t`` alone, and the unitary is the
-    first minimizer of that p's row.  At ``p = 1`` the row is constant: all
-    unitaries tie exactly, and ``argmin`` keeps the first, the identity.
+    ``f_p(t) = (p^2 det + p q t) + q^2``, with ``q = (1 - p) nu_b``,
+    ``t = tr(U cm U^T)`` and ``det`` the determinant carried by the step
+    kernel, which then applies the chosen step.  As ``p q >= 0`` and each
+    operation is correctly rounded, ``f_p`` is monotone non-decreasing in
+    ``t``, so the first minimizing p is found at the smallest ``t`` alone,
+    and the unitary is the first minimizer of that p's row.  At ``p = 1``
+    the row is constant: all unitaries tie exactly, and ``argmin`` keeps the
+    first, the identity.
 
     Args:
         nu_0: initial symplectic eigenvalue (state starts unsqueezed).
@@ -194,30 +223,29 @@ def greedy_adversary(
     zs = np.logspace(0.0, 1.0, search_grid)
     phis = np.linspace(0.0, np.pi, 32, endpoint=False)
     ps = np.linspace(0.0, 1.0, 64)
-    eye = np.eye(2)
 
-    cm = nu_0 * eye
-    nu_now = _nu_of_cm(cm)
+    a, b, c = float(nu_0), 0.0, float(nu_0)
+    det = a * c
+    nu_now = _nu_of_det(det)
     trace = [(nu_now, entropy(nu_now))]
     cos, sin = np.cos(phis), np.sin(phis)
+    cos2, sin2, cs2 = cos**2, sin**2, 2.0 * cos * sin
     z2 = zs[:, None] ** 2
     q = (1.0 - ps) * nu_b
     pp, pq, qq = ps * ps, ps * q, q * q
     for _ in range(n_steps):
-        a, b, c = cm[0, 0], cm[0, 1], cm[1, 1]
         # Rotate by phi, then squeeze by z: diagonal entries of U cm U^T.
-        a_r = cos**2 * a + 2.0 * cos * sin * b + sin**2 * c
-        c_r = sin**2 * a - 2.0 * cos * sin * b + cos**2 * c
+        a_r = cos2 * a + cs2 * b + sin2 * c
+        c_r = sin2 * a - cs2 * b + cos2 * c
         tr_s = z2 * a_r[None, :] + c_r[None, :] / z2
         # det of p * U cm U^T + q * identity; det(U cm U^T) = det(cm).
-        det_cm = a * c - b * b
-        k_p = np.argmin(pp * det_cm + pq * tr_s.min() + qq)
-        row = pp[k_p] * det_cm + pq[k_p] * tr_s + qq[k_p]
-        k_z, k_phi = np.unravel_index(np.argmin(row), row.shape)
-        U = squeezer(float(zs[k_z])) @ rotation(float(phis[k_phi]))
-        X, Y = _single_mode_xy(float(ps[k_p]), 0.0, nu_b, eye, eye)
-        cm, _ = _act(X, Y, _ZERO_2, U @ cm @ U.T, _ZERO_2)
-        nu_now = _nu_of_cm(cm)
+        k_p = np.argmin(pp * det + pq * tr_s.min() + qq)
+        row = pp[k_p] * det + pq[k_p] * tr_s + qq[k_p]
+        k_z, k_phi = divmod(int(np.argmin(row)), len(phis))
+        z, co, si, p = float(zs[k_z]), float(cos[k_phi]), float(sin[k_phi]), float(ps[k_p])
+        M = _mul((z, 0.0, 0.0, 1.0 / z), (co, si, -si, co))  # squeezer(z) @ rotation(phi)
+        a, b, c, det = _gto_step(a, b, c, det, M, M[0] * M[3] - M[1] * M[2], p, (1.0 - p) * nu_b)
+        nu_now = _nu_of_det(det)
         trace.append((nu_now, entropy(nu_now)))
 
     violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))

@@ -225,8 +225,8 @@ def suite_cooling_bound(seed: int, quick: bool = False) -> SuiteResult:
         if trace.violated:
             return SuiteResult("cooling-bound", False, "random protocol broke the floor")
         worst = min(worst, trace.nus.min())
-    # At nu_0 = nu_b the thermal state is a fixed point, bit for bit when
-    # sqrt(p) is exactly representable.
+    # At nu_0 = nu_b the thermal state is a fixed point, bit for bit when p
+    # and (1 - p) nu_b are dyadic, as here, so that every product is exact.
     bath = GaussianState(1, np.zeros(2), nu_b * np.eye(2))
     steps = [ProtocolStep(np.eye(2), p) for p in (0.25, 1.0, 0.0, 0.25, 0.25)]
     if any(nu != nu_b for nu in run_protocol(bath, steps, nu_b).nus):

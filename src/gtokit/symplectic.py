@@ -67,9 +67,16 @@ def _check_square_even(M: np.ndarray, name: str = "matrix") -> int:
 
 
 def is_symplectic(S: np.ndarray) -> bool:
-    """True iff ``S Omega S^T = Omega`` entrywise within ``STRUCTURAL_TOL``."""
+    """True iff ``S Omega S^T = Omega`` entrywise within ``STRUCTURAL_TOL``.
+
+    For one mode ``S Omega S^T = det(S) Omega``, so the residual is
+    ``|det S - 1|``, computed from the four entries.
+    """
     S = np.asarray(S, dtype=float)
     n = _check_square_even(S, "S")
+    if n == 1:
+        (s00, s01), (s10, s11) = S.tolist()
+        return abs(s00 * s11 - s01 * s10 - 1.0) <= STRUCTURAL_TOL
     Om = omega(n)
     return bool(np.abs(S @ Om @ S.T - Om).max() <= STRUCTURAL_TOL)
 

@@ -1,17 +1,19 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gtokit.channels import _act, _single_mode_xy, apply_channel, single_mode_gto
+from gtokit.channels import single_mode_gto
 from gtokit.cooling import (
     CoolingTrace,
     ProtocolStep,
-    _nu_of_cm,
+    _gto_step,
+    _nu_of_det,
     entropy_lower_bound,
     greedy_adversary,
     run_protocol,
@@ -38,18 +40,48 @@ def random_single_mode_cm(rng, nu_max=5.0):
     return nu * U @ U.T, nu
 
 
-def step_by_step_nus(initial, steps, nu_b, S=None):
-    """Symplectic eigenvalues along a protocol, through the public checking
-    API: ``single_mode_gto`` and ``apply_channel`` on every step."""
-    cm, r = initial.cm, initial.first_moments
-    nus = [max(math.sqrt(max(np.linalg.det(cm), 0.0)), 1.0)]
-    for step in steps:
-        U = step.unitary
-        ch = single_mode_gto(step.gto_p, step.gto_phi, nu_b, S)
-        out = apply_channel(ch, GaussianState(1, U @ r, U @ cm @ U.T))
-        cm, r = out.cm, out.first_moments
-        nus.append(max(math.sqrt(max(np.linalg.det(cm), 0.0)), 1.0))
-    return np.array(nus)
+def _mp(M) -> tuple:
+    return tuple(tuple(mpmath.mpf(x) for x in row) for row in np.asarray(M, dtype=float).tolist())
+
+
+def _mul(A, B) -> tuple:
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _transpose(A) -> tuple:
+    (a, b), (c, d) = A
+    return ((a, c), (b, d))
+
+
+def exact_trace(initial, steps, nu_b, S=None, dps=50):
+    """``(nus, kappas)`` along a protocol in ``dps``-digit arithmetic, from the same
+    float inputs: the initial CM, each step's unitary, ``p`` and ``phi``, and
+    ``S`` (inverted exactly).  Each step is ``cm -> X U cm U^T X^T + Y`` with
+    ``single_mode_gto``'s ``X = sqrt(p) S D_phi S^-1`` and
+    ``Y = (1 - p) nu_b S S^T``; ``kappa = (a + c)^2 / (4 det)`` is the
+    conditioning of ``cm = [[a, b], [b, c]]``."""
+    with mpmath.workdps(dps):
+        S = _mp(np.eye(2) if S is None else S)
+        (s00, s01), (s10, s11) = S
+        det_s = s00 * s11 - s01 * s10
+        S_inv = ((s11 / det_s, -s01 / det_s), (-s10 / det_s, s00 / det_s))
+        bath = _mul(S, _transpose(S))
+        cm = _mp(initial.cm)
+        nus, kappas = [], []
+        for step in [None] + list(steps):
+            if step is not None:
+                co, si = mpmath.cos(step.gto_phi), mpmath.sin(step.gto_phi)
+                p = mpmath.mpf(step.gto_p)
+                q = (1 - p) * nu_b
+                V = _mul(_mul(_mul(S, ((co, si), (-si, co))), S_inv), _mp(step.unitary))
+                A = _mul(_mul(V, cm), _transpose(V))
+                cm = tuple(tuple(p * A[i][j] + q * bath[i][j] for j in range(2)) for i in range(2))
+            det = cm[0][0] * cm[1][1] - cm[0][1] * cm[1][0]
+            nus.append(max(float(mpmath.sqrt(det)), 1.0))
+            kappas.append(float((cm[0][0] + cm[1][1]) ** 2 / (4 * det)))
+    return nus, kappas
 
 
 angles = st.floats(0.0, 2 * np.pi)
@@ -71,6 +103,16 @@ class TestProtocolStep:
     def test_from_params_builds_rotation_after_squeeze(self):
         step = ProtocolStep.from_params(squeeze=2.0, rotate=0.7, p=0.5)
         assert_allclose(step.unitary, rotation(0.7) @ squeezer(2.0))
+
+    @given(squeeze=st.floats(1e-3, 1e3), rotate=angles)
+    def test_from_params_entries_equal_the_matrix_product(self, squeeze, rotate):
+        step = ProtocolStep.from_params(squeeze, rotate, 0.5)
+        assert step.unitary.tolist() == (rotation(rotate) @ squeezer(squeeze)).tolist()
+
+    @pytest.mark.parametrize("squeeze", [0.0, -2.0])
+    def test_from_params_refuses_a_non_positive_squeeze(self, squeeze):
+        with pytest.raises(ValueError, match="squeeze factor must be positive"):
+            ProtocolStep.from_params(squeeze, 0.3, 0.5)
 
     def test_rejects_non_symplectic_unitary(self):
         with pytest.raises(ValueError):
@@ -116,8 +158,9 @@ class TestRunProtocol:
         assert not trace.violated
 
     def test_thermal_fixed_point_is_exact(self):
-        # p = 1/4 has an exactly representable sqrt, so the arithmetic of
-        # X cm X^T + Y reproduces 2 * identity bit for bit.
+        # p = 1/4 and q = (1 - p) nu_b = 3/2 are dyadic, so every product of
+        # the step's entries and determinant is exact: 2 * identity comes
+        # back bit for bit.
         state = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
         steps = [ProtocolStep(np.eye(2), 0.25) for _ in range(8)]
         trace = run_protocol(state, steps, nu_b=2.0)
@@ -186,17 +229,39 @@ class TestRunProtocol:
         S=frames,
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_checked_step_by_step_route(self, nu_0, z_0, nu_b, steps, S):
+    def test_matches_the_50_digit_reference(self, nu_0, z_0, nu_b, steps, S):
         initial = GaussianState(1, np.array([0.3, -0.2]), nu_0 * np.diag([z_0, 1.0 / z_0]))
-        try:
-            want = step_by_step_nus(initial, steps, nu_b, S)
-        except ValueError:
-            # Rounding made a state look unphysical to the eigenvalue checks
-            # (conditioning ~1e16, reachable by heating in a squeezed frame).
-            assume(False)
         trace = run_protocol(initial, steps, nu_b, S)
+        want, _ = exact_trace(initial, steps, nu_b, S)
         assert_allclose(trace.nus, want, rtol=1e-12, atol=0.0)
-        assert_allclose(trace.entropies, [entropy(nu) for nu in want], rtol=1e-12, atol=0.0)
+        assert trace.entropies.tolist() == [entropy(nu) for nu in trace.nus.tolist()]
+
+    def test_ill_conditioned_squeezed_frame_protocols_stay_exact(self):
+        # Heating in a squeezed bath frame drives the CM's conditioning past
+        # 1e12; a determinant taken from the entries (a c - b^2, or LU) then
+        # keeps few digits or none, and such protocols were refused as
+        # unphysical.  The determinant recursion keeps every one exact.
+        rng = np.random.default_rng(7)
+        ill_conditioned = 0
+        for _ in range(320):
+            nu_0, nu_b = rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0)
+            S = squeezer(rng.uniform(1.0, 2.0))
+            steps = [
+                ProtocolStep.from_params(
+                    squeeze=float(np.exp(rng.uniform(0.0, np.log(5.0)))),
+                    rotate=rng.uniform(0.0, 2.0 * np.pi),
+                    p=rng.uniform(0.0, 1.0),
+                    phi=rng.uniform(0.0, 2.0 * np.pi),
+                )
+                for _ in range(20)
+            ]
+            initial = GaussianState(1, np.zeros(2), nu_0 * np.eye(2))
+            want, kappas = exact_trace(initial, steps, nu_b, S)
+            if max(kappas) <= 1e12:
+                continue
+            ill_conditioned += 1
+            assert_allclose(run_protocol(initial, steps, nu_b, S).nus, want, rtol=1e-12, atol=0.0)
+        assert ill_conditioned >= 30
 
     @pytest.mark.parametrize("steps", [[], [ProtocolStep(np.eye(2), 0.5)]])
     def test_rejects_non_symplectic_frame(self, steps):
@@ -219,19 +284,29 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="initial state"):
             run_protocol(state, [], nu_b=2.0)
 
-    # The first three used to warn, then blame the input state; the last one's
-    # determinant overflows alone, and it was refused as "nu must be finite".
+    # The first three used to warn, then blame the input state.
     # "error": the refusal alone reports the overflow, with no numpy warning.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "params",
-        [[(1.5, 0.0), (1e200, 0.0)], [(1.5, 0.0), (1e-200, 0.0)], [(1e-153, 0.0)] * 2, [(1.5, 0.0), (1e-153, 0.3)]],
+        [[(1.5, 0.0), (1e200, 0.0)], [(1.5, 0.0), (1e-200, 0.0)], [(1e-153, 0.0)] * 2, [(1.5, 0.0), (1e-160, 0.3)]],
     )
     def test_refuses_an_overflowing_step_by_number(self, params):
         state = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
         steps = [ProtocolStep.from_params(z, rotate, 0.5) for z, rotate in params]
         with pytest.raises(ValueError, match="^protocol step 2 overflows"):
             run_protocol(state, steps, nu_b=2.0)
+
+    def test_a_finite_determinant_near_overflow_is_exact(self):
+        # Every entry of the output is about 1e306, so a determinant taken
+        # from them overflows on the way (it was refused as an overflow) and
+        # cancels some 306 digits: the reference needs 400.  The determinant
+        # itself, about 7e305, is finite.
+        state = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
+        steps = [ProtocolStep.from_params(z, rotate, 0.5) for z, rotate in [(1.5, 0.0), (1e-153, 0.3)]]
+        trace = run_protocol(state, steps, nu_b=2.0)
+        assert_allclose(trace.nus, exact_trace(state, steps, 2.0, dps=400)[0], rtol=1e-12, atol=0.0)
+        assert trace.nus[-1] == pytest.approx(8.5e152, rel=0.01)
 
     def test_checks_the_output_of_the_last_step(self):
         state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))
@@ -320,28 +395,28 @@ class TestGreedyAdversary:
 
 def one_expression_adversary_nus(nu_0, nu_b, n_steps, search_grid=16):
     """``greedy_adversary``'s eigenvalues with the grid determinant written as
-    the one expression ``p*p*det(cm) + p*q*tr_s + q*q``, minimised by argmin."""
+    the one expression ``p*p*det + p*q*tr_s + q*q`` over the full grid,
+    minimised by argmin; the chosen step is applied by the step kernel."""
     zs = np.logspace(0.0, 1.0, search_grid)
     phis = np.linspace(0.0, np.pi, 32, endpoint=False)
     ps = np.linspace(0.0, 1.0, 64)
-    eye, zero = np.eye(2), np.zeros(2)
     cos, sin = np.cos(phis), np.sin(phis)
     z2 = zs[:, None] ** 2
     p = ps[:, None, None]
     q = (1.0 - ps)[:, None, None] * nu_b
-    cm = nu_0 * eye
-    nus = [_nu_of_cm(cm)]
+    a, b, c = float(nu_0), 0.0, float(nu_0)
+    det = a * c
+    nus = [_nu_of_det(det)]
     for _ in range(n_steps):
-        a, b, c = cm[0, 0], cm[0, 1], cm[1, 1]
         a_r = cos**2 * a + 2.0 * cos * sin * b + sin**2 * c
         c_r = sin**2 * a - 2.0 * cos * sin * b + cos**2 * c
         tr_s = z2 * a_r[None, :] + c_r[None, :] / z2
-        det = p * p * (a * c - b * b) + p * q * tr_s[None] + q * q
-        k_p, k_z, k_phi = np.unravel_index(np.argmin(det), det.shape)
-        U = squeezer(float(zs[k_z])) @ rotation(float(phis[k_phi]))
-        X, Y = _single_mode_xy(float(ps[k_p]), 0.0, nu_b, eye, eye)
-        cm, _ = _act(X, Y, zero, U @ cm @ U.T, zero)
-        nus.append(_nu_of_cm(cm))
+        grid = p * p * det + p * q * tr_s[None] + q * q
+        k_p, k_z, k_phi = np.unravel_index(np.argmin(grid), grid.shape)
+        z, co, si, p_k = float(zs[k_z]), float(cos[k_phi]), float(sin[k_phi]), float(ps[k_p])
+        M = (squeezer(z) @ np.array([[co, si], [-si, co]])).ravel().tolist()
+        a, b, c, det = _gto_step(a, b, c, det, M, M[0] * M[3] - M[1] * M[2], p_k, (1.0 - p_k) * nu_b)
+        nus.append(_nu_of_det(det))
     return nus
 
 

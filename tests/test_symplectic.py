@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, cossin
 
 from gtokit import symplectic
 from gtokit.symplectic import (
+    STRUCTURAL_TOL,
     CosineSineForm,
     _realify,
     build_isotropy_element,
@@ -27,6 +30,22 @@ from gtokit.symplectic import (
 def rotation(phi):
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, s], [-s, c]])
+
+
+def matrix_residual_verdict(S) -> bool:
+    return bool(np.abs(S @ omega(1) @ S.T - omega(1)).max() <= STRUCTURAL_TOL)
+
+
+@st.composite
+def near_symplectic_2x2(draw):
+    """``rotation @ squeezer``, scaled so that ``det - 1`` lies within twice
+    ``STRUCTURAL_TOL`` of 0, on either side."""
+    phi, z = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.5, 2.0))
+    delta = draw(st.floats(-2.0, 2.0)) * STRUCTURAL_TOL
+    return np.sqrt(1.0 + delta) * rotation(phi) @ np.diag([z, 1.0 / z])
+
+
+arrays_2x2 = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
 
 
 class TestOmega:
@@ -97,6 +116,21 @@ class TestPredicates:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             is_symplectic(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "S, verdict", [(2.0 * np.eye(2), False), (np.array([[1.0, 3.0], [0.0, 1.0]]), True)], ids=["2*1", "shear"]
+    )
+    def test_single_mode_hand_picked(self, S, verdict):
+        assert is_symplectic(S) is verdict is matrix_residual_verdict(S)
+
+    @given(S=near_symplectic_2x2() | arrays_2x2)
+    def test_single_mode_verdict_equals_the_matrix_residual(self, S):
+        # One mode: S Omega S^T = det(S) Omega, so the residual is |det S - 1|.
+        # Every product of two entries is at most about 1 in size, so either
+        # route's rounding stays below 1e-15.
+        (s00, s01), (s10, s11) = (map(Fraction, row) for row in S.tolist())
+        assume(abs(abs(s00 * s11 - s01 * s10 - 1) - Fraction(STRUCTURAL_TOL)) > Fraction(1e-15))
+        assert is_symplectic(S) is matrix_residual_verdict(S)
 
 
 class TestBogoliubov:
