@@ -155,6 +155,7 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
     if not validate_state(initial):
         raise ValueError("initial state has an invalid covariance matrix")
     S = _check_bath(nu_b, S)
+    nu_b = float(nu_b)  # with p, keeps the steps on Python floats, which never warn
     S_inv = _symplectic_inverse(S)
     S_t, S_inv_t = S.ravel().tolist(), S_inv.ravel().tolist()
     # The bath frame enters here and in M below.

@@ -297,6 +297,13 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="^protocol step 2 overflows"):
             run_protocol(state, steps, nu_b=2.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scalars_overflow_without_a_warning(self):
+        state = GaussianState(1, np.zeros(2), 2.0 * np.eye(2))
+        steps = [ProtocolStep(squeezer(z), np.float64(0.5)) for z in (1.5, 1e200)]
+        with pytest.raises(ValueError, match="^protocol step 2 overflows"):
+            run_protocol(state, steps, nu_b=np.float64(2.0))
+
     def test_a_finite_determinant_near_overflow_is_exact(self):
         # Every entry of the output is about 1e306, so a determinant taken
         # from them overflows on the way (it was refused as an overflow) and
