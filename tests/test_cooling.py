@@ -68,19 +68,23 @@ def exact_trace(initial, steps, nu_b, S=None, dps=50):
         det_s = s00 * s11 - s01 * s10
         S_inv = ((s11 / det_s, -s01 / det_s), (-s10 / det_s, s00 / det_s))
         bath = _mul(S, _transpose(S))
-        cm = _mp(initial.cm)
         nus, kappas = [], []
-        for step in [None] + list(steps):
-            if step is not None:
-                co, si = mpmath.cos(step.gto_phi), mpmath.sin(step.gto_phi)
-                p = mpmath.mpf(step.gto_p)
-                q = (1 - p) * nu_b
-                V = _mul(_mul(_mul(S, ((co, si), (-si, co))), S_inv), _mp(step.unitary))
-                A = _mul(_mul(V, cm), _transpose(V))
-                cm = tuple(tuple(p * A[i][j] + q * bath[i][j] for j in range(2)) for i in range(2))
+
+        def record(cm):
             det = cm[0][0] * cm[1][1] - cm[0][1] * cm[1][0]
             nus.append(max(float(mpmath.sqrt(det)), 1.0))
             kappas.append(float((cm[0][0] + cm[1][1]) ** 2 / (4 * det)))
+
+        cm = _mp(initial.cm)
+        record(cm)
+        for step in steps:
+            co, si = mpmath.cos(step.gto_phi), mpmath.sin(step.gto_phi)
+            p = mpmath.mpf(step.gto_p)
+            q = (1 - p) * nu_b
+            V = _mul(_mul(_mul(S, ((co, si), (-si, co))), S_inv), _mp(step.unitary))
+            A = _mul(_mul(V, cm), _transpose(V))
+            cm = tuple(tuple(p * A[i][j] + q * bath[i][j] for j in range(2)) for i in range(2))
+            record(cm)
     return nus, kappas
 
 
