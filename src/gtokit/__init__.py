@@ -14,7 +14,6 @@ from .symplectic import (
     is_passive,
     is_symplectic,
     omega,
-    passive_to_unitary,
     random_symplectic,
     random_unitary,
     symplectic_eigenvalues,
@@ -53,8 +52,6 @@ from .feasibility import (
     FeasibilityResult,
     TransformQuery,
     necessary_bounds,
-    reachable_set,
-    segment_point,
     single_mode_feasible,
     squeezed_bath_feasible,
 )
@@ -67,10 +64,7 @@ from .cooling import (
     sideband_swap,
 )
 from .thermo import (
-    GeometricDist,
-    ThermoCurve,
     cross_check,
-    curve_dominates,
     geometric_probs,
     thermo_curve,
 )

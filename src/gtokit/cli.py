@@ -244,6 +244,11 @@ def cmd_feasible(args) -> int:
     payload = {"feasible": result.feasible, "p": result.p, "reason": result.reason}
     payload["bounds"] = dict(necessary_bounds(query, tol=args.tol_feasibility))
     _write_json(args, payload)
+    # A feasible verdict that a necessary bound contradicts is an internal error.
+    failed = [name for name, holds in payload["bounds"].items() if not holds]
+    if result.feasible and failed:
+        print(f"feasible verdict contradicts necessary bounds: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_BREACH
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
@@ -333,7 +338,7 @@ def cmd_thermo_curve(args) -> int:
     beta_i, beta, E = v["beta_i"], v["beta"], v["E"]
     N = v["N"] if "N" in v else level_cutoff(beta_i, beta, E=E)
     curve = thermo_curve(geometric_probs(beta_i, E, N), geometric_probs(beta, E, N))
-    lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in curve.breakpoints]
+    lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in curve]
     _write_text(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

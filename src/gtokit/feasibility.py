@@ -12,8 +12,6 @@ one positivity condition.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .states import _check_nu
 
 FEASIBILITY_TOL = 1e-9
@@ -112,34 +110,6 @@ def single_mode_feasible(q: TransformQuery, tol: float = FEASIBILITY_TOL) -> Fea
     if p < -tol or p > 1.0 + tol:
         return FeasibilityResult(False, None, REASON_P_RANGE)
     return FeasibilityResult(True, _clamp01(p), REASON_OK)
-
-
-def segment_point(nu_i: float, z_i: float, nu_b: float, p: float) -> tuple:
-    """Point reached at weight ``p`` in the (nu z, nu / z) plane.
-
-    ``p = 1`` is the input state, ``p = 0`` the bath point ``(nu_b, nu_b)``.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    x = p * nu_i * z_i + (1.0 - p) * nu_b
-    y = p * nu_i / z_i + (1.0 - p) * nu_b
-    return (x, y)
-
-
-def reachable_set(nu_i: float, z_i: float, nu_b: float, samples: int) -> list:
-    """Sample the reachable (nu_f, z_f) pairs on a uniform p grid.
-
-    Converts each segment point back through ``nu = sqrt(x y)``,
-    ``z = sqrt(x / y)``; every returned pair satisfies
-    :func:`single_mode_feasible`.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    out = []
-    for p in np.linspace(1.0, 0.0, samples):
-        x, y = segment_point(nu_i, z_i, nu_b, float(p))
-        out.append((math.sqrt(x * y), math.sqrt(x / y)))
-    return out
 
 
 def squeezed_bath_feasible(q: TransformQuery, tol: float = FEASIBILITY_TOL) -> FeasibilityResult:

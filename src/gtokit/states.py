@@ -250,13 +250,14 @@ def entropy(nu: float) -> float:
     """Von Neumann entropy (nats) of a mode with symplectic eigenvalue ``nu``.
 
     ``(nu+1)/2 ln((nu+1)/2) - (nu-1)/2 ln((nu-1)/2)``; zero for pure states.
+    With ``dn = (nu-1)/2`` this is ``ln(1+dn) + dn ln(1+1/dn)``, which has no
+    cancellation between two ``x ln x`` terms at any ``nu``.
     """
     _check_nu(nu, "nu")
-    up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
     if dn == 0.0:
         return 0.0
-    return up * math.log(up) - dn * math.log(dn)
+    return math.log1p(dn) + dn * math.log1p(1.0 / dn)
 
 
 def free_energy(nu: float, z: float, beta: float, omega: float) -> float:

@@ -140,23 +140,6 @@ def unitary_to_passive(U: np.ndarray) -> np.ndarray:
     return _realify(_check_unitary(U, STRUCTURAL_TOL))
 
 
-def passive_to_unitary(K: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`unitary_to_passive`.
-
-    Args:
-        K: 2n x 2n passive (orthogonal symplectic) matrix, checked with
-           :func:`is_passive` at ``STRUCTURAL_TOL``.
-
-    Returns:
-        n x n complex unitary with ``unitary_to_passive(U) == K``.
-    """
-    K = np.asarray(K, dtype=float)
-    _check_square_even(K, "K")
-    if not is_passive(K):
-        raise ValueError("K is not a passive (orthogonal symplectic) matrix")
-    return K[0::2, 0::2] + 1j * K[0::2, 1::2]
-
-
 @dataclass(frozen=True)
 class WilliamsonForm:
     """Congruence normal form ``P = S (diag nu_j x 1_2) S^T`` with symplectic S."""

@@ -1,15 +1,15 @@
-"""Thermo-majorization for truncated geometric (thermal-diagonal) distributions.
+"""Thermo-majorization of level populations against Gibbs weights.
 
-A state diagonal in the number basis with geometric weights is compared
-against another through piecewise-linear majorization curves rescaled by the
-bath's Gibbs weights: the transformation is allowed iff the input's curve
-lies everywhere above the target's.  For single-mode unsqueezed Gaussian
-states this reproduces the symplectic-eigenvalue interval criterion, which
+A state diagonal in the number basis is compared against another through
+piecewise-linear majorization curves rescaled by the bath's Gibbs weights:
+the transformation is allowed iff the input's curve lies everywhere above
+the target's.  Populations are plain arrays over one level grid.  For
+single-mode unsqueezed Gaussian states, whose populations are geometric,
+this reproduces the symplectic-eigenvalue interval criterion, which
 :func:`cross_check` verifies case by case.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,48 +20,7 @@ TAIL_TOL = 1e-12
 DOMINANCE_TOL = 1e-10
 
 
-@dataclass
-class GeometricDist:
-    """Truncated, renormalized geometric distribution over N energy levels."""
-
-    beta: float
-    E: float
-    cutoff: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.shape != (self.cutoff,):
-            raise ValueError(
-                f"probs must have length {self.cutoff}, got {self.probs.shape}"
-            )
-
-
-@dataclass
-class ThermoCurve:
-    """Piecewise-linear majorization curve as (x, y) breakpoints from (0, 0)."""
-
-    breakpoints: np.ndarray
-
-    def __post_init__(self):
-        self.breakpoints = np.asarray(self.breakpoints, dtype=float)
-        if self.breakpoints.ndim != 2 or self.breakpoints.shape[1] != 2:
-            raise ValueError("breakpoints must be an (k, 2) array")
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.breakpoints[:, 0]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.breakpoints[:, 1]
-
-    def at(self, x) -> np.ndarray:
-        """Linear interpolation of the curve (clamped at the endpoints)."""
-        return np.interp(x, self.xs, self.ys)
-
-
-def geometric_probs(beta: float, E: float, N: int) -> GeometricDist:
+def geometric_probs(beta: float, E: float, N: int) -> np.ndarray:
     """Geometric level populations ``(1 - e^{-beta E}) e^{-beta E n}``, truncated at N.
 
     Args:
@@ -70,7 +29,7 @@ def geometric_probs(beta: float, E: float, N: int) -> GeometricDist:
         N: number of retained levels, >= 2.
 
     Returns:
-        GeometricDist renormalized to unit total mass.
+        Length-N population array renormalized to unit total mass.
 
     Raises:
         ValueError: if the cutoff leaves a tail mass ``e^{-beta E N}`` above
@@ -86,7 +45,7 @@ def geometric_probs(beta: float, E: float, N: int) -> GeometricDist:
             f"cutoff N={N} leaves tail mass {tail:.3e} > {TAIL_TOL:.3e}; increase N"
         )
     probs = (1.0 - math.exp(-beta * E)) * np.exp(-beta * E * np.arange(N))
-    return GeometricDist(beta=beta, E=E, cutoff=N, probs=probs / probs.sum())
+    return probs / probs.sum()
 
 
 def level_cutoff(*betas: float, E: float) -> int:
@@ -101,8 +60,8 @@ def level_cutoff(*betas: float, E: float) -> int:
     return math.ceil(28.0 / (min(betas) * E))
 
 
-def thermo_curve(p: GeometricDist, g: GeometricDist) -> ThermoCurve:
-    """Majorization curve of distribution ``p`` relative to Gibbs weights ``g``.
+def thermo_curve(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Majorization curve of populations ``p`` relative to Gibbs weights ``g``.
 
     Levels are sorted by the ratio ``p_n / g_n`` descending (ties broken by
     ascending level index) and the curve joins the cumulative sums
@@ -110,40 +69,35 @@ def thermo_curve(p: GeometricDist, g: GeometricDist) -> ThermoCurve:
     concave by construction.
 
     Args:
-        p: distribution under test.
-        g: Gibbs reference on the same level grid.
+        p: populations under test, length N.
+        g: Gibbs weights on the same N levels, all positive.
 
     Returns:
-        ThermoCurve with ``cutoff + 1`` breakpoints.
+        ``(N + 1, 2)`` array of ``(x, y)`` breakpoints.
     """
-    if p.cutoff != g.cutoff:
-        raise ValueError("distributions must share the level cutoff")
-    if abs(p.E - g.E) > 1e-12 * max(1.0, abs(g.E)):
-        raise ValueError("distributions must share the level spacing")
-    if g.probs[-1] <= 0.0:
-        raise ValueError("Gibbs weights underflow at this cutoff; use a smaller N")
-    order = np.lexsort((np.arange(p.cutoff), -(p.probs / g.probs)))
-    xs = np.concatenate(([0.0], np.cumsum(g.probs[order])))
-    ys = np.concatenate(([0.0], np.cumsum(p.probs[order])))
-    return ThermoCurve(np.column_stack((xs, ys)))
+    p = np.asarray(p, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if p.shape != g.shape:
+        raise ValueError(f"populations {p.shape} and Gibbs weights {g.shape} must share one level grid")
+    if not np.all(g > 0.0):
+        raise ValueError("Gibbs weights must be positive (they underflow at a deep cutoff; use a smaller N)")
+    order = np.lexsort((np.arange(len(p)), -(p / g)))
+    xs = np.concatenate(([0.0], np.cumsum(g[order])))
+    ys = np.concatenate(([0.0], np.cumsum(p[order])))
+    return np.column_stack((xs, ys))
 
 
-def dominance_margin(a: ThermoCurve, b: ThermoCurve) -> float:
-    """Signed separation ``min_x (a(x) - b(x))``: negative iff ``b`` pokes above ``a``.
+def dominance_margin(a: np.ndarray, b: np.ndarray) -> float:
+    """Signed separation ``min_x (a(x) - b(x))`` of two :func:`thermo_curve` arrays.
 
-    For piecewise-linear concave curves the minimum is attained at one of the
-    two curves' x-breakpoints, so the union grid is sufficient.  Note the
-    resolution limit: both curves approach their endpoints exponentially fast,
-    so a true crossing confined to the last ``~1e-16`` of either corner
-    evaluates to 0 in double precision.
+    Negative iff ``b`` pokes above ``a``.  For piecewise-linear concave curves
+    the minimum is attained at one of the two curves' x-breakpoints, so the
+    union grid is sufficient.  Note the resolution limit: both curves approach
+    their endpoints exponentially fast, so a true crossing confined to the last
+    ``~1e-16`` of either corner evaluates to 0 in double precision.
     """
-    grid = np.union1d(a.xs, b.xs)
-    return float(np.min(a.at(grid) - b.at(grid)))
-
-
-def curve_dominates(a: ThermoCurve, b: ThermoCurve) -> bool:
-    """True iff curve ``a`` lies everywhere above curve ``b`` (within ``DOMINANCE_TOL``)."""
-    return dominance_margin(a, b) >= -DOMINANCE_TOL
+    grid = np.union1d(a[:, 0], b[:, 0])
+    return float(np.min(np.interp(grid, a[:, 0], a[:, 1]) - np.interp(grid, b[:, 0], b[:, 1])))
 
 
 def cross_check(beta_i: float, beta_f: float, beta: float, E: float, N: int) -> tuple:
@@ -151,8 +105,9 @@ def cross_check(beta_i: float, beta_f: float, beta: float, E: float, N: int) -> 
 
     Builds the curves of the initial (``beta_i``) and target (``beta_f``)
     thermal-diagonal states relative to the bath Gibbs weights (``beta``) and
-    tests dominance; independently runs the unsqueezed single-mode
-    feasibility test with ``nu = nu_of(beta_x, E)`` and ``z = 1``.
+    tests dominance within ``DOMINANCE_TOL``; independently runs the
+    unsqueezed single-mode feasibility test with ``nu = nu_of(beta_x, E)``
+    and ``z = 1``.
 
     Args:
         beta_i, beta_f, beta: initial, target, and bath inverse temperatures.
@@ -163,9 +118,9 @@ def cross_check(beta_i: float, beta_f: float, beta: float, E: float, N: int) -> 
         (thermo_verdict, gaussian_verdict, agree).
     """
     g = geometric_probs(beta, E, N)
-    p_i = geometric_probs(beta_i, E, N)
-    q_f = geometric_probs(beta_f, E, N)
-    thermo_verdict = curve_dominates(thermo_curve(p_i, g), thermo_curve(q_f, g))
+    curve_i = thermo_curve(geometric_probs(beta_i, E, N), g)
+    curve_f = thermo_curve(geometric_probs(beta_f, E, N), g)
+    thermo_verdict = dominance_margin(curve_i, curve_f) >= -DOMINANCE_TOL
 
     query = TransformQuery(
         nu_i=nu_of(beta_i, E),

@@ -138,6 +138,17 @@ class TestFeasible:
         assert out["feasible"] is True
         assert out["bounds"] == {"nu_f>=min(nu_i,nu_b)": True, "z_f<=z_i": True}
 
+    def test_a_verdict_the_bounds_contradict_exits_three(self, tmp_path, capsys):
+        # The verdict's tolerance scales with nu_i z_i = 200, the bounds' does not.
+        payload = {"nu_i": 2.0, "z_i": 100.0, "nu_f": 1.9999999259924925, "z_f": 100.00000374962552, "nu_b": 3.0}
+        rc, out = run_json(tmp_path, ["feasible"], payload)
+        assert rc == 3
+        assert out["feasible"] is True
+        assert out["bounds"] == {"nu_f>=min(nu_i,nu_b)": False, "z_f<=z_i": False}
+        assert capsys.readouterr().err == (
+            "feasible verdict contradicts necessary bounds: nu_f>=min(nu_i,nu_b), z_f<=z_i\n"
+        )
+
     def test_missing_key_exits_two(self, tmp_path, capsys):
         in_path = write_payload(tmp_path, {"nu_i": 2.0})
         assert main(["feasible", "--input", in_path]) == 2
@@ -343,6 +354,15 @@ class TestCool:
         assert rc == 0
         assert out["violated"] is False
         assert min(nu for nu, _ in out["steps"]) >= min(nu0, nu_b) - 1e-9
+
+
+class TestHeatingStep:
+    def test_huge_nu_keeps_its_entropy(self, tmp_path, capsys):
+        # a cancelling entropy once read 0.0 here and reported a floor breach
+        payload = {"nu0": 2, "nu_b": 2, "steps": [{"squeeze": 1e150, "p": 0.5}]}
+        rc, text = run_text(tmp_path, ["cool"], payload)
+        assert rc == 0
+        assert text.splitlines()[-1] == "1,1e+150,345.6946167685469,0.9547712524422192"
 
 
 class TestOverflowingStep:

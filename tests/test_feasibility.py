@@ -11,10 +11,9 @@ from gtokit.feasibility import (
     REASON_OK,
     REASON_P_RANGE,
     REASON_POSITIVITY,
+    FeasibilityResult,
     TransformQuery,
     necessary_bounds,
-    reachable_set,
-    segment_point,
     single_mode_feasible,
     squeezed_bath_feasible,
 )
@@ -128,35 +127,43 @@ class TestSingleModeFeasible:
             assert abs(res.p - p) <= 1e-8
 
 
+def segment_target(nu_i, z_i, nu_b, p):
+    """Target ``(nu, z)`` at weight ``p`` on the segment from ``(nu_i z_i, nu_i / z_i)`` to ``(nu_b, nu_b)``."""
+    x = p * nu_i * z_i + (1.0 - p) * nu_b
+    y = p * nu_i / z_i + (1.0 - p) * nu_b
+    return math.sqrt(x * y), math.sqrt(x / y)
+
+
 class TestSegmentAndReachableSet:
+    """The reachable targets are the segment to the bath point, traversed by the witness ``p``."""
+
+    def witness(self, nu_i, z_i, nu_b, p):
+        nu_f, z_f = segment_target(nu_i, z_i, nu_b, p)
+        return single_mode_feasible(TransformQuery(nu_i=nu_i, z_i=z_i, nu_f=nu_f, z_f=z_f, nu_b=nu_b))
+
     def test_endpoints(self):
-        a, b = segment_point(2.0, 4.0, 2.0, 1.0)
-        assert_allclose([a, b], [8.0, 0.5])
-        a, b = segment_point(2.0, 4.0, 2.0, 0.0)
-        assert_allclose([a, b], [2.0, 2.0])
+        assert self.witness(2.0, 4.0, 2.0, 1.0) == FeasibilityResult(True, 1.0, REASON_OK)
+        assert self.witness(2.0, 4.0, 2.0, 0.0) == FeasibilityResult(True, 0.0, REASON_OK)
 
     def test_midpoint_matches_worked_example(self):
-        a, b = segment_point(2.0, 4.0, 2.0, 0.5)
-        assert_allclose([a, b], [5.0, 1.25])
+        assert_allclose(segment_target(2.0, 4.0, 2.0, 0.5), [2.5, 2.0])
+        assert self.witness(2.0, 4.0, 2.0, 0.5).p == pytest.approx(0.5, abs=1e-12)
 
     def test_p_domain(self):
-        with pytest.raises(ValueError):
-            segment_point(2.0, 4.0, 2.0, 1.2)
-        with pytest.raises(ValueError):
-            segment_point(2.0, 4.0, 2.0, -0.1)
+        # the line through the segment, continued past either end, is not reachable;
+        # past the bath end only an unsqueezed input keeps z >= 1
+        for nu_i, z_i, p in ((2.0, 4.0, 1.2), (3.0, 1.0, -0.1)):
+            res = self.witness(nu_i, z_i, 2.0, p)
+            assert not res.feasible and res.reason == REASON_P_RANGE
 
     def test_reachable_set_path(self):
-        pts = reachable_set(2.0, 4.0, 2.0, samples=3)
-        assert len(pts) == 3
-        assert_allclose(pts[0], [2.0, 4.0])
-        assert_allclose(pts[1], [2.5, 2.0])
-        assert_allclose(pts[-1], [2.0, 1.0])
+        path = [segment_target(2.0, 4.0, 2.0, p) for p in (1.0, 0.5, 0.0)]
+        assert_allclose(path, [[2.0, 4.0], [2.5, 2.0], [2.0, 1.0]])
 
     def test_reachable_set_points_are_feasible(self):
-        nu_i, z_i, nu_b = 3.0, 2.5, 1.8
-        for nu_f, z_f in reachable_set(nu_i, z_i, nu_b, samples=25):
-            q = TransformQuery(nu_i=nu_i, z_i=z_i, nu_f=nu_f, z_f=z_f, nu_b=nu_b)
-            assert single_mode_feasible(q).feasible
+        for p in np.linspace(1.0, 0.0, 25):
+            res = self.witness(3.0, 2.5, 1.8, p)
+            assert res.feasible and res.p == pytest.approx(p, abs=1e-12)
 
 
 class TestSqueezedBathFeasible:

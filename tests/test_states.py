@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,25 @@ class TestEntropy:
     def test_refuses_non_finite(self, nu):
         with pytest.raises(ValueError, match="nu must be finite and >= 1"):
             entropy(nu)
+
+    @given(
+        nu=st.one_of(
+            st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
+            st.floats(min_value=-16.0, max_value=0.0).map(lambda t: 1.0 + 10.0**t).filter(lambda nu: nu > 1.0),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_50_digit_value(self, nu):
+        # The two x ln x terms cancel down to the entropy, so the reference
+        # carries 50 digits beyond the terms' own magnitude.
+        with mpmath.workdps(50 + int(math.log10(nu))):
+            up, dn = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+            want = up * mpmath.log(up) - dn * mpmath.log(dn)
+            assert abs(entropy(nu) - want) <= 5e-16 * want
+
+    def test_keeps_its_digits_at_huge_nu(self):
+        # the cancelling form lost every digit here and returned 0.0 from nu ~ 1e16
+        assert entropy(1e150) == 345.6946167685469
 
 
 class TestFreeEnergy:
