@@ -265,6 +265,13 @@ class TestCool:
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(2.0)
 
+    def test_huge_nu_keeps_its_entropy(self, tmp_path):
+        # a cancelling entropy once read 0.0 here and reported a floor breach
+        payload = {"nu0": 2, "nu_b": 2, "steps": [{"squeeze": 1e150, "p": 0.5}]}
+        rc, text = run_text(tmp_path, ["cool"], payload)
+        assert rc == 0
+        assert text.splitlines()[-1] == "1,1e+150,345.6946167685469,0.9547712524422192"
+
     def test_protocol_accepts_param_steps(self, tmp_path):
         payload = {
             "nu0": 3.0,
@@ -354,15 +361,6 @@ class TestCool:
         assert rc == 0
         assert out["violated"] is False
         assert min(nu for nu, _ in out["steps"]) >= min(nu0, nu_b) - 1e-9
-
-
-class TestHeatingStep:
-    def test_huge_nu_keeps_its_entropy(self, tmp_path, capsys):
-        # a cancelling entropy once read 0.0 here and reported a floor breach
-        payload = {"nu0": 2, "nu_b": 2, "steps": [{"squeeze": 1e150, "p": 0.5}]}
-        rc, text = run_text(tmp_path, ["cool"], payload)
-        assert rc == 0
-        assert text.splitlines()[-1] == "1,1e+150,345.6946167685469,0.9547712524422192"
 
 
 class TestOverflowingStep:

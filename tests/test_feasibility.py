@@ -157,8 +157,9 @@ class TestSegmentAndReachableSet:
             assert not res.feasible and res.reason == REASON_P_RANGE
 
     def test_reachable_set_path(self):
-        path = [segment_target(2.0, 4.0, 2.0, p) for p in (1.0, 0.5, 0.0)]
-        assert_allclose(path, [[2.0, 4.0], [2.5, 2.0], [2.0, 1.0]])
+        for (nu_f, z_f), p in zip([(2.0, 4.0), (2.5, 2.0), (2.0, 1.0)], [1.0, 0.5, 0.0]):
+            res = single_mode_feasible(TransformQuery(nu_i=2.0, z_i=4.0, nu_f=nu_f, z_f=z_f, nu_b=2.0))
+            assert res.feasible and res.p == pytest.approx(p, abs=1e-12)
 
     def test_reachable_set_points_are_feasible(self):
         for p in np.linspace(1.0, 0.0, 25):
