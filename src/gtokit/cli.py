@@ -445,6 +445,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a failure of gtokit, not of the input
+        print(f"internal error: linear algebra failed: {exc}", file=sys.stderr)
+        return EXIT_BREACH
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,7 +13,6 @@ from .symplectic import (
     STRUCTURAL_TOL,
     _check_finite,
     _check_spd,
-    _is_symmetric,
     symplectic_eigenvalues,
     williamson,
 )
@@ -136,7 +135,8 @@ def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:
     The one computation behind :func:`validate_state` and the ``validate``
     report: None when the first moments are not finite,
     ``symplectic_eigenvalues(cm, tol)`` refuses ``cm``, or the smallest
-    eigenvalue is below ``1 - tol``.
+    eigenvalue is below ``1 - tol``.  A ``numpy.linalg.LinAlgError`` is a
+    failure of the computation, not a refusal, and propagates.
     """
     if state.cm.shape != (2 * state.n_modes, 2 * state.n_modes):
         raise ValueError("covariance matrix shape does not match n_modes")
@@ -144,6 +144,8 @@ def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:
         return None
     try:
         nus = symplectic_eigenvalues(state.cm, tol)
+    except np.linalg.LinAlgError:
+        raise
     except ValueError:
         return None
     return nus if nus.min() >= 1.0 - tol else None
@@ -218,32 +220,68 @@ def thermal_state(beta: float, ham: HamiltonianSpec) -> GaussianState:
     return GaussianState(ham.n_modes, ham.center.copy(), cm)
 
 
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two halves of 26 bits
+
+
+def _two_product(x: float, y: float) -> tuple:
+    """``(p, e)`` with ``p = fl(x y)`` and ``p + e = x y`` exactly.
+
+    Dekker's two-product over Veltkamp's split (Numer. Math. 18, 224
+    (1971)); exact unless ``2**27 x`` or ``2**27 y`` overflows or ``e``
+    falls into the subnormal range.
+    """
+    t = _VELTKAMP * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _VELTKAMP * y
+    yh = t - (t - y)
+    yl = y - yh
+    p = x * y
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> SingleModeNormalForm:
     """Extract (nu, z, phi) from a single-mode covariance matrix.
 
     ``nu = sqrt(det cm)``, ``z >= 1`` is the principal-axis ratio and
     ``phi`` in [0, pi) orients the long axis; ``phi = 0`` when z = 1.
+
+    In closed form on the entries ``[[a, b], [b, c]]`` (``b`` the mean of
+    the two off-diagonal entries): ``det = ac - b^2`` with error-free
+    products, so ``nu`` keeps its digits under strong squeezing;
+    ``z = lambda_+ / nu`` with ``lambda_+ = (a+c)/2 + hypot((a-c)/2, b)``;
+    ``phi = atan2(-b, (a-c)/2) / 2 mod pi``.
     """
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (2, 2):
         raise ValueError(f"expected a 2x2 covariance matrix, got {cm.shape}")
-    if not _is_symmetric(cm, tol):
+    a, b, b_t, c = cm.ravel().tolist()
+    m = max(abs(a), abs(b), abs(b_t), abs(c))
+    # _is_symmetric's rule on scalars: ``a - a`` and ``c - c`` are the
+    # diagonal of cm - cm^T, NaN for a NaN or infinite entry.
+    if not (abs(b - b_t) <= tol * max(1.0, m) and a - a == 0.0 == c - c):
         raise ValueError("covariance matrix must be symmetric")
-    det = float(np.linalg.det(cm))
-    if det <= 0 or cm[0, 0] <= 0:
+    # An exact power-of-two scale keeps every product below in range.
+    e = math.frexp(m)[1]
+    a, c = math.ldexp(a, -e), math.ldexp(c, -e)
+    b = 0.5 * (math.ldexp(b, -e) + math.ldexp(b_t, -e))
+    ac, ac_err = _two_product(a, c)
+    bb, bb_err = _two_product(b, b)
+    det = (ac - bb) + (ac_err - bb_err)
+    if not (det > 0.0 and a > 0.0):  # a NaN det is refused too
         raise ValueError("covariance matrix must be positive definite")
-    nu = math.sqrt(det)
+    root = math.sqrt(det)
+    nu = math.ldexp(root, e)
     if nu < 1.0 - tol:
         raise ValueError(f"not a physical state: symplectic eigenvalue {nu} < 1")
 
-    evals, evecs = np.linalg.eigh(0.5 * (cm + cm.T))
-    z = math.sqrt(evals[1] / evals[0])
+    half_diff = 0.5 * (a - c)
+    z = (0.5 * (a + c) + math.hypot(half_diff, b)) / root
     if z <= 1.0 + tol:
         return SingleModeNormalForm(nu=nu, z=max(z, 1.0), phi=0.0)
-    # Long axis of nu D_phi diag(z, 1/z) D_phi^T is (cos phi, -sin phi).
-    v = evecs[:, 1]
-    phi = math.atan2(-v[1], v[0]) % math.pi
-    return SingleModeNormalForm(nu=nu, z=z, phi=phi)
+    # nu D_phi diag(z, 1/z) D_phi^T has (a - c)/2 = k cos 2 phi and b = -k sin 2 phi, k > 0.
+    phi = 0.5 * math.atan2(-b, half_diff) % math.pi
+    return SingleModeNormalForm(nu=nu, z=z, phi=phi if phi < math.pi else 0.0)
 
 
 def entropy(nu: float) -> float:

@@ -181,7 +181,10 @@ def _symplectic_hermitian(P: np.ndarray, tol: float):
     the symplectic eigenvalues of ``P``.
     """
     P = _check_spd(P, tol)
-    L = np.linalg.cholesky(P)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:  # positive eigenvalues too small for the factorisation
+        raise ValueError("P must be positive definite") from None
     return L, 1j * (L.T @ omega(P.shape[0] // 2) @ L)
 
 

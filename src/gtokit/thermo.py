@@ -79,25 +79,28 @@ def thermo_curve(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if p.shape != g.shape:
         raise ValueError(f"populations {p.shape} and Gibbs weights {g.shape} must share one level grid")
-    if not np.all(g > 0.0):
+    if not (g > 0.0).all():
         raise ValueError("Gibbs weights must be positive (they underflow at a deep cutoff; use a smaller N)")
-    order = np.lexsort((np.arange(len(p)), -(p / g)))
-    xs = np.concatenate(([0.0], np.cumsum(g[order])))
-    ys = np.concatenate(([0.0], np.cumsum(p[order])))
-    return np.column_stack((xs, ys))
+    order = (-(p / g)).argsort(kind="stable")  # stable: tied ratios keep ascending level order
+    curve = np.zeros((len(p) + 1, 2))
+    curve[1:, 0] = g[order]
+    curve[1:, 1] = p[order]
+    curve[1:].cumsum(axis=0, out=curve[1:])
+    return curve
 
 
 def dominance_margin(a: np.ndarray, b: np.ndarray) -> float:
     """Signed separation ``min_x (a(x) - b(x))`` of two :func:`thermo_curve` arrays.
 
     Negative iff ``b`` pokes above ``a``.  For piecewise-linear concave curves
-    the minimum is attained at one of the two curves' x-breakpoints, so the
-    union grid is sufficient.  Note the resolution limit: both curves approach
-    their endpoints exponentially fast, so a true crossing confined to the last
-    ``~1e-16`` of either corner evaluates to 0 in double precision.
+    the minimum is attained at one of the two curves' x-breakpoints, so
+    evaluating at both grids is sufficient.  Note the resolution limit: both
+    curves approach their endpoints exponentially fast, so a true crossing
+    confined to the last ``~1e-16`` of either corner evaluates to 0 in double
+    precision.
     """
-    grid = np.union1d(a[:, 0], b[:, 0])
-    return float(np.min(np.interp(grid, a[:, 0], a[:, 1]) - np.interp(grid, b[:, 0], b[:, 1])))
+    grid = np.concatenate((a[:, 0], b[:, 0]))
+    return float((np.interp(grid, a[:, 0], a[:, 1]) - np.interp(grid, b[:, 0], b[:, 1])).min())
 
 
 def cross_check(beta_i: float, beta_f: float, beta: float, E: float, N: int) -> tuple:

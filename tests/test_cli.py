@@ -97,6 +97,27 @@ class TestValidate:
         assert out["symplectic_eigenvalues"] == pytest.approx([2.0], rel=1e-15)
         assert len(calls) == 1
 
+    def test_a_linear_algebra_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError is a ValueError, but it is gtokit failing, not the input.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        path = write_payload(tmp_path, state_payload(2.0 * np.eye(2)))
+        assert main(["validate", "--input", path, "--output", str(tmp_path / "out.json")]) == 3
+        assert "linear algebra failed: Eigenvalues did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_a_failed_cholesky_factorisation_is_a_refusal(self, tmp_path, monkeypatch):
+        # Positive eigenvalues too small to factorise: the input is not positive definite.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        rc, out = run_json(tmp_path, ["validate"], state_payload(2.0 * np.eye(2)))
+        assert rc == 1
+        assert out == {"valid": False}
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -21,7 +21,7 @@ from gtokit.states import (
     thermal_state,
     validate_state,
 )
-from gtokit.symplectic import random_symplectic
+from gtokit.symplectic import STRUCTURAL_TOL, _is_symmetric, random_symplectic
 
 LN3 = 1.0986122886681098
 VALIDATION_TOLS = (1e-12, 1e-9, 1e-8, 1e-6)
@@ -256,6 +256,106 @@ class TestSingleModeDecompose:
             single_mode_decompose(0.5 * np.eye(2))
         with pytest.raises(ValueError):
             single_mode_decompose(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @given(
+        nu=st.floats(1.0, 10.0),
+        z=st.floats(1.0, 1e6),
+        phi=st.floats(0.0, math.pi, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_50_digit_form(self, nu, z, phi):
+        # The reference decomposes the float matrix itself, so that only the
+        # decomposition's own rounding is measured: nu within 2 ulps, z within
+        # 4 (over 80k seeded draws the worst were 1.13 and 3.0 ulps).
+        R = rotation(phi)
+        cm = nu * R @ np.diag([z, 1.0 / z]) @ R.T
+        cm = 0.5 * (cm + cm.T)
+        with mpmath.workdps(50):
+            a, b, _, c = (mpmath.mpf(float(v)) for v in cm.ravel())
+            want_nu = mpmath.sqrt(a * c - b * b)
+            want_z = ((a + c) / 2 + mpmath.sqrt(((a - c) / 2) ** 2 + b * b)) / want_nu
+            want_nu, want_z = float(want_nu), float(want_z)
+        try:
+            form = single_mode_decompose(cm)
+        except ValueError as exc:
+            # Rounding the entries moves det by up to ~z^2 ulps, so at nu = 1
+            # the float matrix itself may sit below the vacuum.
+            assert str(exc).startswith("not a physical state")
+            assert want_nu < 1.0 - STRUCTURAL_TOL + 2 * math.ulp(1.0)
+            return
+        assert abs(form.nu - want_nu) <= 2 * math.ulp(want_nu)
+        assert abs(form.z - want_z) <= 4 * math.ulp(want_z)
+        assert 0.0 <= form.phi < math.pi
+        # Below z = 1 + STRUCTURAL_TOL the long axis is dropped (phi = 0),
+        # which moves the matrix by at most nu (z - 1/z).
+        slack = want_nu * (want_z - 1.0 / want_z) if form.z <= 1.0 + STRUCTURAL_TOL else 0.0
+        assert np.abs(form.to_cm() - cm).max() <= 1e-10 * np.abs(cm).max() + slack
+
+    def test_keeps_the_digits_of_a_pure_state_under_strong_squeezing(self):
+        # Cassini's identity F45 F43 - F44^2 = 1 makes this integer matrix a
+        # pure state at z ~ 1.6e9: ac and b^2 agree to all but their last
+        # unit, so a determinant rounded at each product keeps no digit of nu.
+        F45, F44, F43 = 1134903170, 701408733, 433494437
+        form = single_mode_decompose(np.array([[F45, F44], [F44, F43]], dtype=float))
+        assert (form.nu, form.z) == (1.0, 1568397607.0)
+
+    def test_huge_entries_do_not_overflow(self):
+        form = single_mode_decompose(np.diag([4e200, 0.25e200]))
+        assert_allclose([form.nu, form.z, form.phi], [1e200, 4.0, 0.0], rtol=1e-15)
+
+    def test_phi_stays_below_pi(self):
+        # 0.5 atan2(-b, (a - c)/2) is -1.3e-21 here, and -1.3e-21 mod pi rounds to pi.
+        form = single_mode_decompose(np.array([[8.0, 1e-20], [1e-20, 0.5]]))
+        assert (form.nu, form.z, form.phi) == (2.0, 4.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "cm, message",
+        [
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "covariance matrix must be symmetric"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "covariance matrix must be positive definite"),
+            (np.array([[-2.0, 0.0], [0.0, -2.0]]), "covariance matrix must be positive definite"),
+            (np.zeros((2, 2)), "covariance matrix must be positive definite"),
+            (0.5 * np.eye(2), r"not a physical state: symplectic eigenvalue 0.5 < 1"),
+            (np.eye(4), r"expected a 2x2 covariance matrix, got \(4, 4\)"),
+            (np.ones(4), r"expected a 2x2 covariance matrix, got \(4,\)"),
+        ],
+    )
+    def test_refusals_name_their_rule(self, cm, message):
+        with pytest.raises(ValueError, match=message):
+            single_mode_decompose(cm)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)], [(0, 1), (1, 0)]])
+    def test_non_finite_entries_are_refused(self, value, entries):
+        cm = np.array([[3.0, 0.5], [0.5, 2.0]])
+        for ij in entries:
+            cm[ij] = value
+        # NaN anywhere, or an infinite diagonal or pair, is an asymmetry (as in
+        # _is_symmetric); one infinite off-diagonal entry passes the relative
+        # symmetry bound and leaves an infinite or NaN determinant.
+        lone_infinity = len(entries) == 1 and entries[0] in ((0, 1), (1, 0)) and math.isinf(value)
+        rule = "positive definite" if lone_infinity else "symmetric"
+        with pytest.raises(ValueError, match=f"covariance matrix must be {rule}"):
+            single_mode_decompose(cm)
+
+    @given(
+        entries=st.lists(
+            st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.nan, math.inf, -math.inf])), min_size=3, max_size=3
+        ),
+        asymmetry=st.floats(-12.0, -6.0),
+        tol=st.sampled_from(VALIDATION_TOLS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_symmetry_rule_is_the_array_rule(self, entries, asymmetry, tol):
+        a, b, c = entries
+        cm = np.array([[a, b], [b + 10.0**asymmetry * max(1.0, abs(b)), c]])
+        try:
+            single_mode_decompose(cm, tol)
+            refused = False
+        except ValueError as exc:
+            refused = str(exc) == "covariance matrix must be symmetric"
+        with np.errstate(invalid="ignore"):  # inf - inf in cm - cm^T
+            assert refused == (not _is_symmetric(cm, tol))
 
 
 class TestEntropy:

@@ -26,6 +26,76 @@ def populations(low):
     return entries.map(lambda v: np.array(v) / sum(v))
 
 
+@st.composite
+def tied_curve_inputs(draw):
+    """``(p, g)`` on one grid of 2 to 40 levels, often with tied ratios ``p/g``.
+
+    Ties are planted exactly: ``p = g`` (every ratio 1), ratios that are
+    powers of two or zero, or levels copied whole onto others.
+    """
+    g = draw(populations(1e-6))
+    n = len(g)
+    kind = draw(st.sampled_from(("free", "p=g", "power-of-two ratios", "copied levels")))
+    if kind == "p=g":
+        return g.copy(), g
+    if kind == "power-of-two ratios":
+        ratios = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 4.0)), min_size=n, max_size=n))
+        return g * np.array(ratios), g
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if kind == "copied levels":
+        g = g.copy()
+        for _ in range(draw(st.integers(1, n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            g[j], p[j] = g[i], p[i]
+    return p, g
+
+
+def lexsort_thermo_curve(p, g):
+    """Reference: ``thermo_curve`` as it was built, with ``lexsort`` and stacked cumulative sums."""
+    p = np.asarray(p, dtype=float)
+    g = np.asarray(g, dtype=float)
+    order = np.lexsort((np.arange(len(p)), -(p / g)))
+    xs = np.concatenate(([0.0], np.cumsum(g[order])))
+    ys = np.concatenate(([0.0], np.cumsum(p[order])))
+    return np.column_stack((xs, ys))
+
+
+def union_dominance_margin(a, b):
+    """Reference: ``dominance_margin`` as it was built, on the sorted union of the x-grids."""
+    grid = np.union1d(a[:, 0], b[:, 0])
+    return float(np.min(np.interp(grid, a[:, 0], a[:, 1]) - np.interp(grid, b[:, 0], b[:, 1])))
+
+
+class TestMatchesTheReferenceConstruction:
+    @given(pair=tied_curve_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_curve_is_bit_identical(self, pair):
+        got, want = thermo_curve(*pair), lexsort_thermo_curve(*pair)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(first=tied_curve_inputs(), second=tied_curve_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_margin_is_bit_identical(self, first, second):
+        a, b = thermo_curve(*first), thermo_curve(*second)
+        assert dominance_margin(a, b) == union_dominance_margin(a, b)
+        assert dominance_margin(a, a) == union_dominance_margin(a, a) == 0.0
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_margin_on_one_gibbs_grid_is_bit_identical(self, data):
+        # as cross_check compares them: two population arrays over one g
+        p, g = data.draw(tied_curve_inputs())
+        q = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(g), max_size=len(g))))
+        a, b = thermo_curve(p, g), thermo_curve(q, g)
+        assert dominance_margin(a, b) == union_dominance_margin(a, b)
+
+    def test_tied_ratios_keep_ascending_level_order(self):
+        g = np.array([0.25, 0.5, 0.25])
+        curve = thermo_curve(2.0 * g, g)  # every ratio is 2
+        assert curve[1:, 0].tolist() == [0.25, 0.75, 1.0]
+
+
 class TestGeometricProbs:
     def test_half_spacing_weights(self):
         assert_allclose(geometric_probs(LN2, 1.0, 45)[:4], [0.5, 0.25, 0.125, 0.0625], rtol=1e-12)
