@@ -81,15 +81,6 @@ class TestMatchesTheReferenceConstruction:
         assert dominance_margin(a, b) == union_dominance_margin(a, b)
         assert dominance_margin(a, a) == union_dominance_margin(a, a) == 0.0
 
-    @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_margin_on_one_gibbs_grid_is_bit_identical(self, data):
-        # as cross_check compares them: two population arrays over one g
-        p, g = data.draw(tied_curve_inputs())
-        q = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(g), max_size=len(g))))
-        a, b = thermo_curve(p, g), thermo_curve(q, g)
-        assert dominance_margin(a, b) == union_dominance_margin(a, b)
-
     def test_tied_ratios_keep_ascending_level_order(self):
         g = np.array([0.25, 0.5, 0.25])
         curve = thermo_curve(2.0 * g, g)  # every ratio is 2
