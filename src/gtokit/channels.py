@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, FrequencySpectrum, _check_nu, nu_of, validate_state
+from .states import GaussianState, FrequencySpectrum, _check_nu, _lab_frame, nu_of, rotation, validate_state
 from .symplectic import (
     STRUCTURAL_TOL,
     CosineSineForm,
@@ -34,13 +34,6 @@ from .symplectic import (
 # loosely than structural identities: it involves eigenvalues of a difference
 # of products.
 CHANNEL_TOL = 1e-8
-
-
-def _symplectic_inverse(S: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix, ``Omega S^T Omega^T`` (exact, no solve)."""
-    n = S.shape[0] // 2
-    Om = omega(n)
-    return Om @ S.T @ Om.T
 
 
 @dataclass
@@ -152,15 +145,22 @@ def validate_channel(ch: GaussianChannel, tol: float = CHANNEL_TOL) -> bool:
     return bool(np.linalg.eigvalsh(cp).min() >= -tol)
 
 
+def _from_normal_frame(S: np.ndarray, X_nm: np.ndarray, Y_nm: np.ndarray) -> GaussianChannel:
+    """The lab-frame channel ``(F X_nm S^T, F Y_nm F^T, 0)``, ``F = S^{-T}``,
+    of a channel ``(X_nm, Y_nm)`` on the normal coordinates ``S^T r``."""
+    F = _lab_frame(S)
+    return GaussianChannel(X=F @ X_nm @ S.T, Y=F @ Y_nm @ F.T, d=np.zeros(S.shape[0]))
+
+
 def gto_to_channel(spec: GTOSpec) -> GaussianChannel:
     """Build the (X, Y) pair of a thermal-operation channel from its normal form.
 
     In the normal-mode frame each sector contributes
     ``X_l = K(W_l) (cos theta per mode) K(Z_l)`` and
     ``Y_l = K(W_l) (nu_l sin^2 theta per mode) K(W_l)^T`` with
-    ``nu_l = nu_of(beta, omega_l)``; conjugating back with the spectrum's
-    symplectic gives ``X = S (sum of X_l) S^{-1}`` and
-    ``Y = S (sum of Y_l) S^T``.  The displacement is zero.
+    ``nu_l = nu_of(beta, omega_l)``; back in the lab frame
+    ``X = F (sum of X_l) S^T`` and ``Y = F (sum of Y_l) F^T`` with
+    ``F = S^{-T}``.  The displacement is zero.
 
     The passive map ``K`` is a homomorphism, so the direct sums are formed in
     the n x n complex mode picture: each sector's ``W`` and ``Z`` are scattered
@@ -193,10 +193,7 @@ def gto_to_channel(spec: GTOSpec) -> GaussianChannel:
     _check_unitary(Zc, STRUCTURAL_TOL, "Z")
     X_nm = _realify((Wc * cos) @ Zc)
     Y_nm = _realify((Wc * noise) @ Wc.conj().T)
-
-    S = spec.spectrum.S
-    S_inv = _symplectic_inverse(S)
-    return GaussianChannel(X=S @ X_nm @ S_inv, Y=S @ Y_nm @ S.T, d=np.zeros(2 * n))
+    return _from_normal_frame(spec.spectrum.S, X_nm, Y_nm)
 
 
 def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNEL_TOL) -> GaussianState:
@@ -229,43 +226,34 @@ def apply_channel(ch: GaussianChannel, state: GaussianState, tol: float = CHANNE
     return GaussianState(state.n_modes, ch.X @ state.first_moments + ch.d, 0.5 * (cm + cm.T))
 
 
-def _check_bath(nu_b: float, S: np.ndarray | None) -> np.ndarray:
-    """Refuse a non-finite or sub-vacuum ``nu_b`` and a ``S`` that is not a
-    2x2 symplectic; return ``S`` as a float array (identity when None)."""
-    _check_nu(nu_b, "nu_b")
-    if S is None:
-        return np.eye(2)
-    S = np.asarray(S, dtype=float)
-    if S.shape != (2, 2) or not is_symplectic(S):
-        raise ValueError("S must be a 2x2 symplectic matrix")
-    return S
-
-
 def single_mode_gto(
     p: float, phi: float, nu_b: float, S: np.ndarray | None = None
 ) -> GaussianChannel:
     """Single-mode thermal-operation channel.
 
-    ``X = sqrt(p) S D_phi S^{-1}`` and ``Y = (1 - p) nu_b S S^T``: with
-    probability weight ``p`` the state survives up to a phase rotation in the
-    normal-mode frame, and the complement is replaced by the bath.
+    ``X = sqrt(p) F D_phi S^T`` and ``Y = (1 - p) nu_b F F^T``, ``F = S^{-T}``:
+    in the normal coordinates ``S^T r`` the state survives with weight ``p``
+    up to a phase rotation, and the complement is replaced by the bath.
 
     Args:
         p: survival weight in [0, 1].
         phi: rotation angle in the normal-mode frame.
         nu_b: bath symplectic eigenvalue, finite and >= 1.
-        S: 2x2 symplectic normal-mode matrix (identity when omitted).
+        S: 2x2 symplectic with ``H = omega S S^T`` (identity when omitted).
 
     Returns:
         GaussianChannel on one mode.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    S = _check_bath(nu_b, S)
-    c, s = np.cos(phi), np.sin(phi)
-    D = np.array([[c, s], [-s, c]])
-    X = np.sqrt(p) * S @ D @ _symplectic_inverse(S)
-    return GaussianChannel(X=X, Y=(1.0 - p) * nu_b * S @ S.T, d=np.zeros(2))
+    _check_nu(nu_b, "nu_b")
+    if S is None:
+        S = np.eye(2)
+    else:
+        S = np.asarray(S, dtype=float)
+        if S.shape != (2, 2) or not is_symplectic(S):
+            raise ValueError("S must be a 2x2 symplectic matrix")
+    return _from_normal_frame(S, np.sqrt(p) * rotation(phi), (1.0 - p) * nu_b * np.eye(2))
 
 
 def dilate_and_trace(system_cm: np.ndarray, O: np.ndarray, bath_nus) -> np.ndarray:
@@ -305,11 +293,12 @@ def oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
     """Act with a thermal-operation channel through the explicit dilation.
 
     The independent route to ``apply_channel(gto_to_channel(spec), state)``:
-    in the normal-mode frame each sector's system modes are coupled to an
-    equal number of bath modes at the sector's thermal eigenvalue through the
-    beam-splitter unitary ``(W + 1) [[C, S], [-S, C]] (Z + 1)``, built by
+    on the normal coordinates ``S^T r`` each sector's system modes are coupled
+    to an equal number of bath modes at the sector's thermal eigenvalue through
+    the beam-splitter unitary ``(W + 1) [[C, S], [-S, C]] (Z + 1)``, built by
     :meth:`CosineSineForm.reconstruct` with identity bath blocks, and
-    :func:`dilate_and_trace` pinches the result back onto the system.
+    :func:`dilate_and_trace` pinches the result back onto the system, which
+    ``F = S^{-T}`` returns to the lab frame.
 
     Args:
         spec: validated GTOSpec.
@@ -320,9 +309,8 @@ def oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
     """
     n = spec.spectrum.n_modes
     S = spec.spectrum.S
-    S_inv = _symplectic_inverse(S)
-    sigma_nm = S_inv @ state.cm @ S_inv.T
-    r_nm = S_inv @ state.first_moments
+    sigma_nm = S.T @ state.cm @ S
+    r_nm = S.T @ state.first_moments
 
     O = np.eye(4 * n)
     bath_nus = np.empty(n)
@@ -338,7 +326,8 @@ def oracle_apply(spec: GTOSpec, state: GaussianState) -> GaussianState:
     out_nm = dilate_and_trace(sigma_nm, O, bath_nus)
     r_joint = np.concatenate([r_nm, np.zeros(2 * n)])
     r_out = (O @ r_joint)[: 2 * n]
-    return GaussianState(n, S @ r_out, S @ out_nm @ S.T)
+    F = _lab_frame(S)
+    return GaussianState(n, F @ r_out, F @ out_nm @ F.T)
 
 
 def displaced_gto(ch: GaussianChannel, center: np.ndarray) -> GaussianChannel:

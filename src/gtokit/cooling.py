@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_TOL, _check_bath, _symplectic_inverse, dilate_and_trace
+from .channels import CHANNEL_TOL, dilate_and_trace
 from .states import GaussianState, _check_nu, entropy, nu_of, validate_state
 from .symplectic import is_symplectic
 
@@ -116,27 +116,24 @@ def entropy_lower_bound(nu_0: float, nu_b: float) -> float:
     return entropy(min(nu_0, nu_b))
 
 
-def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | None = None) -> CoolingTrace:
+def run_protocol(initial: GaussianState, steps, nu_b: float) -> CoolingTrace:
     """Run an alternating unitary / partial-thermalization protocol.
 
     Inputs are checked once, on entry: ``initial`` with ``validate_state``,
-    ``nu_b`` and ``S`` as in ``single_mode_gto``; each step's unitary and
-    ``p`` were checked when the :class:`ProtocolStep` was built.  The steps
-    then run in the bath frame ``cm_n = S^-1 cm S^-T``, where the channel of
-    ``single_mode_gto`` is ``cm_n -> p D_phi cm_n D_phi^T + (1 - p) nu_b 1``,
-    so a step with unitary ``U`` is ``cm_n -> p M cm_n M^T + q 1`` with
-    ``M = D_phi S^-1 U S``.  Each step carries the entries of ``cm_n`` and
-    its determinant in closed form (``det M = det U``), and checks that the
-    output is still physical (``cm_n[0, 0] > 0`` and ``det >= (1 -
-    CHANNEL_TOL)^2``, the single-mode form of ``validate_state``).  First
-    moments do not enter the trace and are not carried.
+    ``nu_b`` as in ``single_mode_gto``; each step's unitary and ``p`` were
+    checked when the :class:`ProtocolStep` was built.  A step with unitary
+    ``U`` followed by ``single_mode_gto(p, phi, nu_b)`` is
+    ``cm -> p M cm M^T + q 1`` with ``M = D_phi U`` and ``q = (1 - p) nu_b``.
+    Each step carries the entries of ``cm`` and its determinant in closed
+    form (``det M = det U``), and checks that the output is still physical
+    (``cm[0, 0] > 0`` and ``det >= (1 - CHANNEL_TOL)^2``, the single-mode
+    form of ``validate_state``).  First moments do not enter the trace and
+    are not carried.
 
     Args:
         initial: single-mode starting state.
         steps: iterable of ProtocolStep.
         nu_b: bath symplectic eigenvalue shared by all thermalization steps.
-        S: normal-mode symplectic of the thermalization channel (identity
-           when omitted).
 
     Returns:
         CoolingTrace with the entropy floor ``entropy(min(nu_0, nu_b))`` and
@@ -154,12 +151,9 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
         raise ValueError("cooling protocols act on a single mode")
     if not validate_state(initial):
         raise ValueError("initial state has an invalid covariance matrix")
-    S = _check_bath(nu_b, S)
+    _check_nu(nu_b, "nu_b")
     nu_b = float(nu_b)  # with p, keeps the steps on Python floats, which never warn
-    S_inv = _symplectic_inverse(S)
-    S_t, S_inv_t = S.ravel().tolist(), S_inv.ravel().tolist()
-    # The bath frame enters here and in M below.
-    (a, b), (_, c) = (S_inv @ initial.cm @ S_inv.T).tolist()
+    (a, b), (_, c) = initial.cm.tolist()
     det = float(np.linalg.det(initial.cm))
 
     nu_0 = _nu_of_det(det)
@@ -168,7 +162,7 @@ def run_protocol(initial: GaussianState, steps, nu_b: float, S: np.ndarray | Non
     for step in steps:
         U = step.unitary.ravel().tolist()
         co, si = math.cos(step.gto_phi), math.sin(step.gto_phi)
-        M = _mul((co, si, -si, co), _mul(S_inv_t, _mul(U, S_t)))
+        M = _mul((co, si, -si, co), U)
         p = float(step.gto_p)
         a, b, c, det = _gto_step(a, b, c, det, M, U[0] * U[3] - U[1] * U[2], p, (1.0 - p) * nu_b)
         if not (a > 0.0 and _MIN_DET <= det < math.inf):

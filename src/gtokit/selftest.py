@@ -11,15 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GTOSector, GTOSpec, dilate_and_trace, gto_to_channel, single_mode_gto
+from .channels import GTOSector, GTOSpec, dilate_and_trace, gto_to_channel, oracle_apply, single_mode_gto
 from .cooling import greedy_adversary, run_protocol, ProtocolStep
 from .feasibility import TransformQuery, single_mode_feasible
 from .states import (
     FrequencySector,
     FrequencySpectrum,
     GaussianState,
+    HamiltonianSpec,
+    normal_mode_spectrum,
     nu_of,
     single_mode_decompose,
+    thermal_state,
 )
 from .symplectic import (
     block_diag,
@@ -54,8 +57,43 @@ def _random_cm(n_modes: int, rng: np.random.Generator) -> np.ndarray:
     return S @ np.diag(np.repeat(nus, 2)) @ S.T
 
 
+def _squeezed_frame_deviations(n: int, rng: np.random.Generator) -> list:
+    """Frame-free checks of a random GTO on ``H = S diag(omega) S^T``, with a
+    squeezed ``S`` from :func:`random_symplectic` and degenerate frequencies.
+
+    Relative deviations of: the Gibbs energy ``tr(H sigma) / 4`` from
+    ``sum_j omega_j nu_j / 2`` at ``beta`` and at ``beta = inf``; the image
+    of that Gibbs state under ``gto_to_channel``, which every thermal
+    operation fixes, from itself; and ``oracle_apply`` on a random state
+    from the channel's ``(X, Y, d)``.
+    """
+    S = random_symplectic(n, _subseed(rng))
+    freqs = rng.choice(rng.uniform(0.5, 2.0, size=2), size=n)
+    ham = HamiltonianSpec(S @ np.diag(np.repeat(freqs, 2)) @ S.T)
+    beta, spectrum = rng.uniform(0.3, 2.0), normal_mode_spectrum(ham)
+    sectors = [
+        GTOSector(Z=random_unitary(d, _subseed(rng)), thetas=rng.uniform(0.0, np.pi / 2, size=d),
+                  W=random_unitary(d, _subseed(rng)))
+        for d in (sec.multiplicity for sec in spectrum.sectors)
+    ]
+    spec = GTOSpec(spectrum, beta, sectors)
+    deviations = []
+    for b, nus in ((beta, [nu_of(beta, w) for w in freqs]), (np.inf, np.ones(n))):
+        want = 0.5 * float(freqs @ nus)
+        deviations.append(abs(0.25 * np.trace(ham.H @ thermal_state(b, ham).cm) - want) / want)
+    ch, gibbs = gto_to_channel(spec), thermal_state(beta, ham).cm
+    deviations.append(np.abs(ch.X @ gibbs @ ch.X.T + ch.Y - gibbs).max() / np.abs(gibbs).max())
+    cm, r = _random_cm(n, rng), rng.standard_normal(2 * n)
+    via_form, via_oracle = ch.X @ cm @ ch.X.T + ch.Y, oracle_apply(spec, GaussianState(n, r, cm))
+    deviations.append(np.abs(via_form - via_oracle.cm).max() / np.abs(via_form).max())
+    deviations.append(np.abs(ch.X @ r + ch.d - via_oracle.first_moments).max())
+    return deviations
+
+
 def suite_oracle_equivalence(seed: int, quick: bool = False) -> SuiteResult:
-    """Decomposed-form channel vs explicit dilation, equal-size bath."""
+    """Decomposed-form channel vs explicit dilation, equal-size bath; then
+    frame-free checks of the Gibbs state, the channel and ``oracle_apply`` in
+    squeezed normal-mode frames."""
     rng = np.random.default_rng(seed)
     n_unitaries, n_cms = (5, 3) if quick else (100, 10)
     worst = 0.0
@@ -85,9 +123,16 @@ def suite_oracle_equivalence(seed: int, quick: bool = False) -> SuiteResult:
                 via_oracle = dilate_and_trace(cm, O, [nu_b] * n)
                 worst = max(worst, np.abs(via_form - via_oracle).max())
                 cases += 1
-    ok = worst <= 1e-8
+    n_frames = 6 if quick else 60
+    frame = np.max([_squeezed_frame_deviations(1 + k % 3, rng) for k in range(n_frames)], axis=0)
+    ok = worst <= 1e-8 and (frame <= 1e-8).all()
+    energy, energy_inf, fixed, oracle_cm, oracle_r = frame
     return SuiteResult(
-        "oracle-equivalence", ok, f"max deviation {worst:.2e} over {cases} cases (tol 1e-08)"
+        "oracle-equivalence",
+        ok,
+        f"max deviation {worst:.2e} over {cases} cases; in {n_frames} squeezed frames: Gibbs energy "
+        f"{max(energy, energy_inf):.2e}, Gibbs fixed point {fixed:.2e}, oracle_apply "
+        f"{max(oracle_cm, oracle_r):.2e} (tol 1e-08)",
     )
 
 

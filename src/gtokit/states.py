@@ -13,6 +13,7 @@ from .symplectic import (
     STRUCTURAL_TOL,
     _check_finite,
     _check_spd,
+    omega,
     symplectic_eigenvalues,
     williamson,
 )
@@ -109,8 +110,9 @@ class FrequencySector:
 
 @dataclass(frozen=True)
 class FrequencySpectrum:
-    """Normal-mode data of a Hamiltonian matrix: ``S^{-1} H S^{-T}`` is
-    the direct sum of ``omega_l 1_{2 n_l}`` over the sectors."""
+    """Normal-mode data of ``H = S diag(omega) S^T``: ``S^{-1} H S^{-T}`` is the
+    direct sum of ``omega_l 1_{2 n_l}`` over the sectors, and the normal
+    coordinates are ``S^T r``."""
 
     S: np.ndarray
     sectors: tuple
@@ -127,6 +129,13 @@ class FrequencySpectrum:
             for idx in sec.mode_indices:
                 out[idx] = sec.omega
         return out
+
+
+def _lab_frame(S: np.ndarray) -> np.ndarray:
+    """``F = S^{-T} = Omega S Omega^T`` (exact, no solve): normal coordinates
+    ``x = S^T r`` go back to ``r = F x``, and ``sigma_nm`` to ``F sigma_nm F^T``."""
+    Om = omega(S.shape[0] // 2)
+    return Om @ S @ Om.T
 
 
 def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:
@@ -206,9 +215,9 @@ def normal_mode_spectrum(ham: HamiltonianSpec) -> FrequencySpectrum:
 def thermal_state(beta: float, ham: HamiltonianSpec) -> GaussianState:
     """Gibbs state of a quadratic Hamiltonian at inverse temperature ``beta``.
 
-    The covariance matrix is ``S (direct sum of nu_of(beta, omega_l) 1) S^T``
-    in the Hamiltonian's normal-mode frame; first moments sit at the
-    Hamiltonian center.  ``beta = inf`` gives the ground state.
+    The covariance matrix is ``F (direct sum of nu_of(beta, omega_l) 1) F^T``
+    with ``F = S^{-T}`` for the normal-mode frame ``S``; first moments sit at
+    the Hamiltonian center.  ``beta = inf`` gives the ground state.
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
@@ -216,7 +225,8 @@ def thermal_state(beta: float, ham: HamiltonianSpec) -> GaussianState:
     nus = np.array(
         [1.0 if math.isinf(beta) else nu_of(beta, w) for w in spectrum.frequencies]
     )
-    cm = spectrum.S @ np.diag(np.repeat(nus, 2)) @ spectrum.S.T
+    F = _lab_frame(spectrum.S)
+    cm = F @ np.diag(np.repeat(nus, 2)) @ F.T
     return GaussianState(ham.n_modes, ham.center.copy(), cm)
 
 

@@ -69,7 +69,8 @@ def thermo_curve(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     concave by construction.
 
     Args:
-        p: populations under test, length N.
+        p: populations under test, length N, all non-negative (a NaN is
+           refused too: it would end the curve at ``(1, nan)``).
         g: Gibbs weights on the same N levels, all positive.
 
     Returns:
@@ -81,6 +82,8 @@ def thermo_curve(p: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"populations {p.shape} and Gibbs weights {g.shape} must share one level grid")
     if not (g > 0.0).all():
         raise ValueError("Gibbs weights must be positive (they underflow at a deep cutoff; use a smaller N)")
+    if not (p >= 0.0).all():
+        raise ValueError("populations must be non-negative numbers")
     order = (-(p / g)).argsort(kind="stable")  # stable: tied ratios keep ascending level order
     curve = np.zeros((len(p) + 1, 2))
     curve[1:, 0] = g[order]

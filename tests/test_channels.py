@@ -12,7 +12,6 @@ from gtokit.channels import (
     GaussianChannel,
     GTOSector,
     GTOSpec,
-    _symplectic_inverse,
     apply_channel,
     compose,
     dilate_and_trace,
@@ -148,8 +147,8 @@ def per_sector_gto_to_channel(spec):
         Y_nm[np.ix_(rows, rows)] = Y_l
 
     S = spec.spectrum.S
-    S_inv = _symplectic_inverse(S)
-    return GaussianChannel(X=S @ X_nm @ S_inv, Y=S @ Y_nm @ S.T, d=np.zeros(dim))
+    F = np.linalg.inv(S).T
+    return GaussianChannel(X=F @ X_nm @ S.T, Y=F @ Y_nm @ F.T, d=np.zeros(dim))
 
 
 @st.composite
@@ -351,10 +350,12 @@ class TestSingleModeGto:
         assert_allclose(ch.Y, np.zeros((2, 2)))
 
     def test_p_zero_is_constant_map(self):
+        # Full thermalization installs the bath's Gibbs state nu_b F F^T, F = S^-T.
         S = squeezer(1.5)
+        F = np.linalg.inv(S).T
         ch = single_mode_gto(0.0, 0.3, 2.0, S)
         assert_allclose(ch.X, np.zeros((2, 2)), atol=1e-12)
-        assert_allclose(ch.Y, 2.0 * S @ S.T)
+        assert_allclose(ch.Y, 2.0 * F @ F.T)
 
     def test_matches_one_mode_normal_form(self):
         # cos(theta) = sqrt(p): the explicit single-mode channel and the
@@ -392,6 +393,10 @@ class TestSingleModeGto:
             single_mode_gto(0.5, 0.0, 0.8)
         with pytest.raises(ValueError):
             single_mode_gto(0.5, 0.0, 2.0, np.diag([2.0, 2.0]))
+
+    def test_rejects_non_symplectic_frame(self):
+        with pytest.raises(ValueError, match="S must be a 2x2 symplectic matrix"):
+            single_mode_gto(0.5, 0.0, 2.0, 2.0 * np.eye(2))
 
 
 class TestDilateAndTrace:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gtokit import cooling, selftest
+from gtokit import channels, cooling, selftest, states
 from gtokit.channels import GaussianChannel
 from gtokit.symplectic import random_unitary, unitary_to_passive
 
@@ -60,5 +60,20 @@ def on_result(fault):
 def test_planted_fault_fails_the_suite(monkeypatch, suite, module, name, fault):
     assert suite(SEED, quick=True).passed
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    result = suite(SEED, quick=True)
+    assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize(
+    "modules", [(states,), (channels,), (states, channels)], ids=["thermal_state", "channels", "everywhere"]
+)
+def test_old_frame_fails_the_oracle_suite(monkeypatch, modules):
+    # The frame helper returning S instead of S^-T: the frame every site
+    # used before, which puts the Gibbs state and the channels in the wrong
+    # frame while the normal form and the oracle still agree.
+    suite = selftest.suite_oracle_equivalence
+    assert suite(SEED, quick=True).passed
+    for module in modules:
+        monkeypatch.setattr(module, "_lab_frame", lambda S: S)
     result = suite(SEED, quick=True)
     assert not result.passed, result.detail

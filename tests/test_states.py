@@ -154,18 +154,22 @@ class TestThermalState:
         assert_allclose(state.first_moments, np.zeros(2))
 
     def test_squeezed_normal_frame(self):
-        # H = S S^T for S = diag(2, 1/2) has omega = 1, so the Gibbs state at
-        # beta = ln 3 is 2 S S^T.
+        # H = S S^T for S = diag(2, 1/2) has omega = 1 and normal coordinates
+        # S^T r, so the Gibbs state at beta = ln 3 (nu = 2) is 2 S^-T S^-1 =
+        # 2 diag(1/4, 4), with energy tr(H sigma) / 4 = nu omega / 2 = 1.
         S = squeezer(2.0)
         ham = HamiltonianSpec(H=S @ S.T)
         state = thermal_state(LN3, ham)
-        assert_allclose(state.cm, 2.0 * np.diag([4.0, 0.25]), rtol=1e-12)
+        assert_allclose(state.cm, 2.0 * np.diag([0.25, 4.0]), rtol=1e-12)
+        assert np.trace(ham.H @ state.cm) / 4 == pytest.approx(1.0, rel=1e-12)
 
     def test_ground_state(self):
+        # The ground state S^-T S^-1 has the zero-point energy omega / 2.
         S = squeezer(2.0)
         ham = HamiltonianSpec(H=S @ S.T)
         state = thermal_state(math.inf, ham)
-        assert_allclose(state.cm, S @ S.T, rtol=1e-12)
+        assert_allclose(state.cm, np.diag([0.25, 4.0]), rtol=1e-12)
+        assert np.trace(ham.H @ state.cm) / 4 == pytest.approx(0.5, rel=1e-12)
 
     def test_center_is_used(self):
         ham = HamiltonianSpec(H=np.eye(2), center=np.array([1.5, -0.5]))

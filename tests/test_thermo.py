@@ -168,6 +168,13 @@ class TestThermoCurve:
         with pytest.raises(ValueError, match="underflow"):
             thermo_curve(a, g)
 
+    @pytest.mark.parametrize("p", [[math.nan, 0.5, 0.5], [-0.5, 1.0, 0.5]], ids=["nan", "negative"])
+    def test_nan_and_negative_populations_are_refused(self, p):
+        # A NaN ended the curve at (1, nan), which dominance_margin read as
+        # "not dominated"; a negative population gave a non-concave curve.
+        with pytest.raises(ValueError, match="populations must be non-negative"):
+            thermo_curve(p, [0.5, 0.3, 0.2])
+
     @given(p=populations(0.0))
     @settings(max_examples=200, deadline=None)
     def test_uniform_gibbs_weights_give_the_lorenz_curve(self, p):
