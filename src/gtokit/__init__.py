@@ -4,69 +4,93 @@ Subpackages cover the symplectic linear-algebra kernel, Gaussian state and
 channel representations, single-mode transformation feasibility, cooling
 protocol simulation with the entropy no-go bound, and thermo-majorization
 cross-checks for energy-diagonal states.
+
+The public names below resolve on first use (PEP 562), each from the module
+listed with it, so that ``import gtokit`` loads no numpy.
 """
 
-from .symplectic import (
-    CosineSineForm,
-    WilliamsonForm,
-    build_isotropy_element,
-    cosine_sine_decompose,
-    is_passive,
-    is_symplectic,
-    omega,
-    random_symplectic,
-    random_unitary,
-    symplectic_eigenvalues,
-    triangularize_offdiagonal,
-    unitary_to_passive,
-    williamson,
-)
-from .states import (
-    FrequencySector,
-    FrequencySpectrum,
-    GaussianState,
-    HamiltonianSpec,
-    SingleModeNormalForm,
-    entropy,
-    free_energy,
-    normal_mode_spectrum,
-    nu_of,
-    single_mode_decompose,
-    thermal_state,
-    validate_state,
-)
-from .channels import (
-    GaussianChannel,
-    GTOSector,
-    GTOSpec,
-    apply_channel,
-    compose,
-    dilate_and_trace,
-    displaced_gto,
-    gto_to_channel,
-    oracle_apply,
-    single_mode_gto,
-    validate_channel,
-)
-from .feasibility import (
-    FeasibilityResult,
-    TransformQuery,
-    necessary_bounds,
-    single_mode_feasible,
-    squeezed_bath_feasible,
-)
-from .cooling import (
-    CoolingTrace,
-    ProtocolStep,
-    entropy_lower_bound,
-    greedy_adversary,
-    run_protocol,
-    sideband_swap,
-)
-from .thermo import (
-    cross_check,
-    geometric_probs,
-    thermo_curve,
-)
+import importlib
+
+_EXPORTS = {
+    "symplectic": (
+        "CosineSineForm",
+        "WilliamsonForm",
+        "build_isotropy_element",
+        "cosine_sine_decompose",
+        "is_passive",
+        "is_symplectic",
+        "omega",
+        "random_symplectic",
+        "random_unitary",
+        "symplectic_eigenvalues",
+        "triangularize_offdiagonal",
+        "unitary_to_passive",
+        "williamson",
+    ),
+    "states": (
+        "FrequencySector",
+        "FrequencySpectrum",
+        "GaussianState",
+        "HamiltonianSpec",
+        "SingleModeNormalForm",
+        "free_energy",
+        "normal_mode_spectrum",
+        "single_mode_decompose",
+        "thermal_state",
+        "validate_state",
+    ),
+    "scalar": (
+        "entropy",
+        "entropy_lower_bound",
+        "nu_of",
+    ),
+    "channels": (
+        "GaussianChannel",
+        "GTOSector",
+        "GTOSpec",
+        "apply_channel",
+        "compose",
+        "dilate_and_trace",
+        "displaced_gto",
+        "gto_to_channel",
+        "oracle_apply",
+        "single_mode_gto",
+        "validate_channel",
+    ),
+    "feasibility": (
+        "FeasibilityResult",
+        "TransformQuery",
+        "necessary_bounds",
+        "single_mode_feasible",
+        "squeezed_bath_feasible",
+    ),
+    "cooling": (
+        "CoolingTrace",
+        "ProtocolStep",
+        "greedy_adversary",
+        "run_protocol",
+        "sideband_swap",
+    ),
+    "thermo": (
+        "cross_check",
+        "geometric_probs",
+        "thermo_curve",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # the modules themselves, as when the package imported them eagerly
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_HOME))

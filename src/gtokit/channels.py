@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, FrequencySpectrum, _check_nu, _lab_frame, nu_of, rotation, validate_state
+from .scalar import CHANNEL_TOL, STRUCTURAL_TOL, _check_nu, nu_of
+from .states import GaussianState, FrequencySpectrum, _lab_frame, rotation, validate_state
 from .symplectic import (
-    STRUCTURAL_TOL,
     CosineSineForm,
     _check_finite,
     _check_square_even,
@@ -29,11 +29,6 @@ from .symplectic import (
     omega,
     unitary_to_passive,
 )
-
-# Positive-semidefiniteness of the complete-positivity matrix is checked more
-# loosely than structural identities: it involves eigenvalues of a difference
-# of products.
-CHANNEL_TOL = 1e-8
 
 
 @dataclass

@@ -13,6 +13,10 @@ verdict, 2 invalid input, 3 internal invariant breach.
 This module alone knows the JSON format.  Each payload is read through its
 subcommand's key table, which refuses a missing key, any key it does not
 read, a non-number and a non-integer count.
+
+``feasible`` and protocol ``cool`` run on Python floats and start without
+numpy.  Every other subcommand, and each reader of an array payload, imports
+numpy and the numpy-backed modules itself, when it runs.
 """
 
 import argparse
@@ -20,19 +24,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .channels import (
-    CHANNEL_TOL,
-    GaussianChannel,
-    GTOSector,
-    GTOSpec,
-    apply_channel,
-    gto_to_channel,
-    oracle_apply,
-    single_mode_gto,
-)
-from .cooling import ProtocolStep, greedy_adversary, run_protocol, sideband_swap
 from .feasibility import (
     FEASIBILITY_TOL,
     TransformQuery,
@@ -40,22 +31,16 @@ from .feasibility import (
     single_mode_feasible,
     squeezed_bath_feasible,
 )
-from .states import (
-    FrequencySector,
-    FrequencySpectrum,
-    GaussianState,
-    _physical_spectrum,
+from .scalar import (
+    CHANNEL_TOL,
+    STRUCTURAL_TOL,
+    _check_squeeze,
+    _check_step,
+    _step_entries,
     entropy,
     nu_of,
-    single_mode_decompose,
-    squeezer,
+    protocol_trace,
 )
-from .symplectic import (
-    STRUCTURAL_TOL,
-    cosine_sine_decompose,
-    williamson,
-)
-from .thermo import geometric_probs, level_cutoff, thermo_curve
 
 DEFAULT_SEED = 1729
 
@@ -122,15 +107,32 @@ def _count(value, key: str) -> int:
     return value
 
 
-def _array(value, key: str) -> np.ndarray:
+def _shape(value, key: str) -> tuple:
+    """Shape of a JSON array of numbers nested to any depth, ``()`` for a lone
+    number; anything else, a ragged array included, is refused."""
+    if type(value) in (int, float):
+        return ()
+    if isinstance(value, list):
+        shapes = {_shape(v, key) for v in value}
+        if len(shapes) <= 1:
+            return (len(value), *(shapes.pop() if shapes else ()))
+    raise ValueError(f"'{key}' must be an array of numbers")
+
+
+def _array(value, key: str):
     """A JSON array of numbers, nested to any depth, as a float array."""
-    entries = np.asarray(value, dtype=object)
-    if not all(type(v) in (int, float) for v in entries.flat):
-        raise ValueError(f"'{key}' must be an array of numbers")
-    return entries.astype(float)
+    import numpy as np
+
+    _shape(value, key)
+    return np.asarray(value, dtype=float)
 
 
-def _complex_array(value, key: str) -> np.ndarray:
+def _entries(value, key: str) -> tuple:
+    """A 2x2 JSON matrix of numbers as its four entries, row by row; ``()`` for any other shape."""
+    return tuple(float(v) for row in value for v in row) if _shape(value, key) == (2, 2) else ()
+
+
+def _complex_array(value, key: str):
     """A JSON matrix of ``[re, im]`` pairs as a complex matrix."""
     pairs = _array(value, key)
     if pairs.ndim != 3 or pairs.shape[2] != 2:
@@ -176,55 +178,77 @@ def _which(values: dict, where: str, choices) -> str:
     return given[0]
 
 
-def _state(value, key: str) -> GaussianState:
+def _state(value, key: str):
+    from .states import GaussianState
+
     return GaussianState(**_keys(value, key, {"n_modes": _count, "first_moments": _array, "cm": _array}))
 
 
-def _channel(value, key: str) -> GaussianChannel:
+def _channel(value, key: str):
+    from .channels import GaussianChannel
+
     return GaussianChannel(**_keys(value, key, {"X": _array, "Y": _array, "d": _array}))
 
 
-def _single_mode_gto(value, key: str) -> GaussianChannel:
+def _single_mode_gto(value, key: str):
+    from .channels import single_mode_gto
+
     v = _keys(value, key, {"p": _number, "nu_b": _number}, {"phi": _number, "S": _array})
     return single_mode_gto(v["p"], v.get("phi", 0.0), v["nu_b"], v.get("S"))
 
 
-def _frequency_sector(value, key: str) -> FrequencySector:
+def _frequency_sector(value, key: str):
+    from .states import FrequencySector
+
     v = _keys(value, key, {"omega": _number, "multiplicity": _count, "mode_indices": _list(_count)})
     return FrequencySector(v["omega"], v["multiplicity"], tuple(v["mode_indices"]))
 
 
-def _spectrum(value, key: str) -> FrequencySpectrum:
+def _spectrum(value, key: str):
+    from .states import FrequencySpectrum
+
     v = _keys(value, key, {"S": _array, "sectors": _list(_frequency_sector)})
     return FrequencySpectrum(v["S"], tuple(v["sectors"]))
 
 
-def _gto_sector(value, key: str) -> GTOSector:
+def _gto_sector(value, key: str):
+    from .channels import GTOSector
+
     return GTOSector(**_keys(value, key, {"Z": _complex_array, "thetas": _array, "W": _complex_array}))
 
 
-def _gto_spec(value, key: str) -> GTOSpec:
+def _gto_spec(value, key: str):
+    from .channels import GTOSpec
+
     return GTOSpec(**_keys(value, key, {"spectrum": _spectrum, "beta": _number, "sectors": _list(_gto_sector)}))
 
 
-def _step(value, key: str) -> ProtocolStep:
-    """A protocol step, given by its ``unitary`` or by ``squeeze`` and ``rotate``."""
+def _step(value, key: str) -> tuple:
+    """A protocol step ``(U, p, phi)`` on floats, ``U`` the four entries of its
+    ``unitary`` or of the unitary that ``squeeze`` and ``rotate`` give."""
     if isinstance(value, dict) and "unitary" in value:
-        v = _keys(value, key, {"unitary": _array, "p": _number}, {"phi": _number})
-        return ProtocolStep(unitary=v["unitary"], gto_p=v["p"], gto_phi=v.get("phi", 0.0))
-    v = _keys(value, key, {"p": _number}, {"squeeze": _number, "rotate": _number, "phi": _number})
-    return ProtocolStep.from_params(v.get("squeeze", 1.0), v.get("rotate", 0.0), v["p"], v.get("phi", 0.0))
+        v = _keys(value, key, {"unitary": _entries, "p": _number}, {"phi": _number})
+        U = v["unitary"]
+    else:
+        v = _keys(value, key, {"p": _number}, {"squeeze": _number, "rotate": _number, "phi": _number})
+        U = _step_entries(v.get("squeeze", 1.0), v.get("rotate", 0.0))
+    _check_step(U, v["p"])
+    return U, v["p"], v.get("phi", 0.0)
 
 
-def _state_json(state: GaussianState) -> dict:
+def _state_json(state) -> dict:
     return {"n_modes": state.n_modes, "first_moments": state.first_moments.tolist(), "cm": state.cm.tolist()}
 
 
-def _complex_json(M: np.ndarray) -> list:
+def _complex_json(M) -> list:
+    import numpy as np
+
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, dtype=complex)]
 
 
 def cmd_validate(args) -> int:
+    from .states import _physical_spectrum
+
     state = _state(_read_json(args), "validate")
     nus = _physical_spectrum(state, args.tol_structural)
     payload = {"valid": nus is not None}
@@ -256,6 +280,10 @@ _CHANNEL_READERS = {"channel": _channel, "single_mode_gto": _single_mode_gto, "g
 
 
 def cmd_apply(args) -> int:
+    import numpy as np
+
+    from .channels import apply_channel, gto_to_channel, oracle_apply
+
     v = _keys(_read_json(args), "apply", {"state": _state}, _CHANNEL_READERS)
     kind = _which(v, "apply", _CHANNEL_READERS)
     if args.oracle and kind != "gto":
@@ -277,16 +305,21 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _trace_csv(trace) -> str:
+def _trace_csv(steps: list, bound: float) -> str:
     lines = ["step,nu,entropy,bound"]
-    for k, (nu, ent) in enumerate(trace.steps):
-        lines.append(f"{k},{nu!r},{ent!r},{trace.bound!r}")
+    for k, (nu, ent) in enumerate(steps):
+        lines.append(f"{k},{nu!r},{ent!r},{bound!r}")
     return "\n".join(lines) + "\n"
 
 
-def _initial_state(v: dict) -> GaussianState:
-    """The squeezed thermal start ``nu0 * squeezer(z0)`` of a ``cool`` payload."""
-    return GaussianState(1, np.zeros(2), v["nu0"] * squeezer(v.get("z0", 1.0)))
+def _start(v: dict) -> tuple:
+    """Diagonal ``(a, c)`` of the squeezed thermal start ``nu0 * squeezer(z0)`` of a ``cool`` payload."""
+    z0 = v.get("z0", 1.0)
+    _check_squeeze(z0)
+    a, c = v["nu0"] * z0, v["nu0"] * (1.0 / z0)
+    if not (math.isfinite(a) and math.isfinite(c)):
+        raise ValueError("cm must be finite")
+    return a, c
 
 
 def cmd_cool(args) -> int:
@@ -294,8 +327,14 @@ def cmd_cool(args) -> int:
         raise ValueError("--json does not apply to --sideband, whose output is always JSON")
     payload = _read_json(args)
     if args.sideband is not None:
+        import numpy as np
+
+        from .cooling import sideband_swap
+        from .states import GaussianState
+
         v = _keys(payload, "cool --sideband", {"nu0": _number, "beta": _number}, {"z0": _number})
-        cooled, nu_achieved = sideband_swap(_initial_state(v), v["beta"], args.sideband)
+        initial = GaussianState(1, np.zeros(2), np.diag(_start(v)))
+        cooled, nu_achieved = sideband_swap(initial, v["beta"], args.sideband)
         _write_json(
             args,
             {
@@ -308,31 +347,31 @@ def cmd_cool(args) -> int:
         return EXIT_OK
 
     if args.adversary is not None:
+        from .cooling import greedy_adversary
+
         if args.adversary < 1:
             raise ValueError(f"--adversary must be >= 1, got {args.adversary}")
         # The adversary starts from the unsqueezed nu0 * identity and searches its own steps.
         v = _keys(payload, "cool --adversary", {"nu0": _number, "nu_b": _number})
         trace = greedy_adversary(v["nu0"], v["nu_b"], args.adversary)
+        steps, bound, violated = trace.steps, trace.bound, trace.violated
     else:
+        # The float loop behind the library's run_protocol, on the payload's numbers.
         v = _keys(payload, "cool", {"nu0": _number, "nu_b": _number}, {"z0": _number, "steps": _list(_step)})
-        trace = run_protocol(_initial_state(v), v.get("steps", []), v["nu_b"])
+        a, c = _start(v)
+        steps, bound, violated = protocol_trace(a, 0.0, c, v.get("steps", []), v["nu_b"])
 
     if args.json:
-        _write_json(
-            args,
-            {
-                "steps": [[nu, ent] for nu, ent in trace.steps],
-                "bound": trace.bound,
-                "violated": trace.violated,
-            },
-        )
+        _write_json(args, {"steps": [[nu, ent] for nu, ent in steps], "bound": bound, "violated": violated})
     else:
-        _write_text(args, _trace_csv(trace))
+        _write_text(args, _trace_csv(steps, bound))
     # A violated floor cannot happen physically; treat it as an internal error.
-    return EXIT_BREACH if trace.violated else EXIT_OK
+    return EXIT_BREACH if violated else EXIT_OK
 
 
 def cmd_thermo_curve(args) -> int:
+    from .thermo import geometric_probs, level_cutoff, thermo_curve
+
     required = dict.fromkeys(("beta_i", "beta", "E"), _number)
     v = _keys(_read_json(args), "thermo-curve", required, {"N": _count})
     beta_i, beta, E = v["beta_i"], v["beta"], v["E"]
@@ -344,6 +383,9 @@ def cmd_thermo_curve(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .states import single_mode_decompose
+    from .symplectic import cosine_sine_decompose, williamson
+
     v = _keys(_read_json(args), "decompose", {}, {"cm": _array, "unitary": _complex_array})
     if _which(v, "decompose", ("cm", "unitary")) == "unitary":
         form = cosine_sine_decompose(v["unitary"], tol=args.tol_structural)
@@ -445,10 +487,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:  # a ValueError, but a failure of gtokit, not of the input
-        print(f"internal error: linear algebra failed: {exc}", file=sys.stderr)
-        return EXIT_BREACH
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        # numpy's LinAlgError is a ValueError, but a failure of gtokit, not of
+        # the input; only a subcommand that loaded numpy can raise it.
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+            print(f"internal error: linear algebra failed: {exc}", file=sys.stderr)
+            return EXIT_BREACH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,20 +9,26 @@ with a high-frequency thermal ancilla is the permitted way around the floor —
 it is a two-mode operation outside the single-mode protocol class.
 """
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_TOL, dilate_and_trace
-from .states import GaussianState, _check_nu, entropy, nu_of, validate_state
-from .symplectic import is_symplectic
-
-BOUND_TOL = 1e-9
-# A single-mode CM is physical iff cm[0, 0] > 0 and det(cm) = nu^2 >= 1; the
-# slack matches the state check ``apply_channel`` makes at CHANNEL_TOL.
-_MIN_DET = (1.0 - CHANNEL_TOL) ** 2
+from .channels import dilate_and_trace
+from .scalar import (
+    _breaks_floor,
+    _check_step,
+    _det,
+    _gto_step,
+    _mul,
+    _nu_of_det,
+    _step_entries,
+    entropy,
+    entropy_lower_bound,
+    nu_of,
+    protocol_trace,
+)
+from .states import GaussianState, validate_state
 
 # θ = π/2 beam splitter: a full state swap between the two modes.
 _SWAP_4 = np.block(
@@ -40,19 +46,14 @@ class ProtocolStep:
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=float)
-        if self.unitary.shape != (2, 2) or not is_symplectic(self.unitary):
-            raise ValueError("step unitary must be a 2x2 symplectic matrix")
-        if not 0.0 <= self.gto_p <= 1.0:
-            raise ValueError(f"gto_p must lie in [0, 1], got {self.gto_p}")
+        _check_step(tuple(self.unitary.ravel().tolist()) if self.unitary.shape == (2, 2) else (), self.gto_p)
 
     @classmethod
     def from_params(cls, squeeze: float, rotate: float, p: float, phi: float = 0.0) -> "ProtocolStep":
         """Build the step unitary as rotation(rotate) @ squeezer(squeeze),
         written entry by entry."""
-        if squeeze <= 0:
-            raise ValueError("squeeze factor must be positive")
-        c, s, inv = math.cos(rotate), math.sin(rotate), 1.0 / squeeze
-        return cls(unitary=np.array([[c * squeeze, s * inv], [-s * squeeze, c * inv]]), gto_p=p, gto_phi=phi)
+        u00, u01, u10, u11 = _step_entries(squeeze, rotate)
+        return cls(unitary=np.array([[u00, u01], [u10, u11]]), gto_p=p, gto_phi=phi)
 
 
 @dataclass
@@ -72,68 +73,24 @@ class CoolingTrace:
         return np.array([s[1] for s in self.steps])
 
 
-def _nu_of_det(det: float) -> float:
-    return max(math.sqrt(max(det, 0.0)), 1.0)
-
-
-def _nu_of_cm(cm: np.ndarray) -> float:
-    return _nu_of_det(np.linalg.det(cm))
-
-
-def _mul(A: tuple, B: tuple) -> tuple:
-    """Product of two 2x2 matrices, each given row by row as four floats."""
-    a, b, c, d = A
-    e, f, g, h = B
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _gto_step(a: float, b: float, c: float, det: float, M: tuple, det_m: float, p: float, q: float) -> tuple:
-    """One single-mode step ``cm -> p M cm M^T + q 1`` on Python floats.
-
-    ``cm = [[a, b], [b, c]]`` has determinant ``det``, and ``M = (m00, m01,
-    m10, m11)``, row by row, has determinant ``det_m``.  Returns the output's
-    ``(a, b, c, det)``.  With ``A = M cm M^T`` the determinant is
-    ``det(p A + q 1) = p^2 det_m^2 det + p q tr(A) + q^2``: for ``p``,
-    ``q >= 0`` every term is non-negative, so nothing cancels at any
-    conditioning, where ``a c - b^2`` loses every digit near ``1/eps``.
-    """
-    m00, m01, m10, m11 = M
-    t00, t01 = m00 * a + m01 * b, m00 * b + m01 * c
-    t10, t11 = m10 * a + m11 * b, m10 * b + m11 * c
-    a_m, c_m = t00 * m00 + t01 * m01, t10 * m10 + t11 * m11
-    return (
-        p * a_m + q,
-        p * (t00 * m10 + t01 * m11),
-        p * c_m + q,
-        p * p * (det_m * det_m * det) + p * q * (a_m + c_m) + q * q,
-    )
-
-
-def entropy_lower_bound(nu_0: float, nu_b: float) -> float:
-    """Entropy floor for single-mode protocols: ``entropy(min(nu_0, nu_b))``."""
-    _check_nu(nu_0, "nu_0")
-    _check_nu(nu_b, "nu_b")
-    return entropy(min(nu_0, nu_b))
-
-
 def run_protocol(initial: GaussianState, steps, nu_b: float) -> CoolingTrace:
     """Run an alternating unitary / partial-thermalization protocol.
 
-    Inputs are checked once, on entry: ``initial`` with ``validate_state``,
-    ``nu_b`` as in ``single_mode_gto``; each step's unitary and ``p`` were
-    checked when the :class:`ProtocolStep` was built.  A step with unitary
-    ``U`` followed by ``single_mode_gto(p, phi, nu_b)`` is
-    ``cm -> p M cm M^T + q 1`` with ``M = D_phi U`` and ``q = (1 - p) nu_b``.
-    Each step carries the entries of ``cm`` and its determinant in closed
-    form (``det M = det U``), and checks that the output is still physical
-    (``cm[0, 0] > 0`` and ``det >= (1 - CHANNEL_TOL)^2``, the single-mode
-    form of ``validate_state``).  First moments do not enter the trace and
-    are not carried.
+    ``initial`` is checked with ``validate_state``; each step's unitary and
+    ``p`` were checked when the :class:`ProtocolStep` was built.  The run
+    itself is :func:`gtokit.scalar.protocol_trace` on the entries of the
+    initial covariance matrix: a step with unitary ``U`` followed by
+    ``single_mode_gto(p, phi, nu_b)`` is ``cm -> p M cm M^T + q 1`` with
+    ``M = D_phi U`` and ``q = (1 - p) nu_b``, carried in closed form, and
+    each output must still be physical (``cm[0, 0] > 0`` and ``det >= (1 -
+    CHANNEL_TOL)^2``, the single-mode form of ``validate_state``).  First
+    moments do not enter the trace and are not carried.
 
     Args:
         initial: single-mode starting state.
         steps: iterable of ProtocolStep.
-        nu_b: bath symplectic eigenvalue shared by all thermalization steps.
+        nu_b: bath symplectic eigenvalue shared by all thermalization steps,
+            checked as in ``single_mode_gto``.
 
     Returns:
         CoolingTrace with the entropy floor ``entropy(min(nu_0, nu_b))`` and
@@ -151,32 +108,9 @@ def run_protocol(initial: GaussianState, steps, nu_b: float) -> CoolingTrace:
         raise ValueError("cooling protocols act on a single mode")
     if not validate_state(initial):
         raise ValueError("initial state has an invalid covariance matrix")
-    _check_nu(nu_b, "nu_b")
-    nu_b = float(nu_b)  # with p, keeps the steps on Python floats, which never warn
     (a, b), (_, c) = initial.cm.tolist()
-    det = float(np.linalg.det(initial.cm))
-
-    nu_0 = _nu_of_det(det)
-    bound = entropy_lower_bound(nu_0, nu_b)
-    trace = [(nu_0, entropy(nu_0))]
-    for step in steps:
-        U = step.unitary.ravel().tolist()
-        co, si = math.cos(step.gto_phi), math.sin(step.gto_phi)
-        M = _mul((co, si, -si, co), U)
-        p = float(step.gto_p)
-        a, b, c, det = _gto_step(a, b, c, det, M, U[0] * U[3] - U[1] * U[2], p, (1.0 - p) * nu_b)
-        if not (a > 0.0 and _MIN_DET <= det < math.inf):
-            if all(map(math.isfinite, (a, b, c, det))):
-                raise ValueError("input state has an invalid covariance matrix")
-            raise ValueError(
-                f"protocol step {len(trace)} overflows: its output covariance matrix "
-                "or that matrix's determinant is not finite"
-            )
-        nu = _nu_of_det(det)
-        trace.append((nu, entropy(nu)))
-
-    violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))
-    return CoolingTrace(steps=trace, bound=bound, violated=violated)
+    floats = ((step.unitary.ravel().tolist(), float(step.gto_p), step.gto_phi) for step in steps)
+    return CoolingTrace(*protocol_trace(a, b, c, floats, nu_b))
 
 
 def greedy_adversary(
@@ -243,8 +177,7 @@ def greedy_adversary(
         nu_now = _nu_of_det(det)
         trace.append((nu_now, entropy(nu_now)))
 
-    violated = bool(any(ent < bound - BOUND_TOL for _, ent in trace))
-    return CoolingTrace(steps=trace, bound=bound, violated=violated)
+    return CoolingTrace(steps=trace, bound=bound, violated=_breaks_floor(trace, bound))
 
 
 def sideband_swap(
@@ -273,5 +206,5 @@ def sideband_swap(
         raise ValueError("initial state has an invalid covariance matrix")
     nu_a = nu_of(beta, omega_ancilla)
     out_cm = dilate_and_trace(system.cm, _SWAP_4, [nu_a])
-    out = GaussianState(1, np.zeros(2), out_cm)
-    return out, _nu_of_cm(out_cm)
+    (a, b), (_, c) = out_cm.tolist()
+    return GaussianState(1, np.zeros(2), out_cm), _nu_of_det(_det(a, b, c))

@@ -12,7 +12,7 @@ one positivity condition.
 import math
 from dataclasses import dataclass
 
-from .states import _check_nu
+from .scalar import _check_nu
 
 FEASIBILITY_TOL = 1e-9
 
@@ -40,8 +40,11 @@ class TransformQuery:
     vartheta: float | None = None
 
     def __post_init__(self):
-        for name in ("nu_i", "z_i", "nu_f", "z_f", "nu_b"):
-            _check_nu(getattr(self, name), name)
+        _check_nu(self.nu_i, "nu_i")
+        _check_nu(self.z_i, "z_i")
+        _check_nu(self.nu_f, "nu_f")
+        _check_nu(self.z_f, "z_f")
+        _check_nu(self.nu_b, "nu_b")
         if self.vartheta is not None and not math.isfinite(self.vartheta):
             raise ValueError(f"vartheta must be finite, got {self.vartheta}")
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scalar import STRUCTURAL_TOL, _check_nu, _check_squeeze, _det, entropy, nu_of
 from .symplectic import (
-    STRUCTURAL_TOL,
     _check_finite,
     _check_spd,
     omega,
@@ -29,8 +29,7 @@ def rotation(phi: float) -> np.ndarray:
 
 def squeezer(z: float) -> np.ndarray:
     """Single-mode symplectic diag(z, 1/z)."""
-    if z <= 0:
-        raise ValueError("squeeze factor must be positive")
+    _check_squeeze(z)
     return np.diag([z, 1.0 / z])
 
 
@@ -170,23 +169,6 @@ def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     return _physical_spectrum(state, tol) is not None
 
 
-def _check_nu(value: float, name: str) -> None:
-    """Refuse a symplectic eigenvalue (or squeezing factor) that is NaN, infinite or below 1."""
-    if not 1.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 1, got {value}")
-
-
-def nu_of(beta: float, omega: float) -> float:
-    """Thermal symplectic eigenvalue ``(e^{beta omega} + 1) / (e^{beta omega} - 1)``.
-
-    Evaluated as ``1 / tanh(beta omega / 2)`` for overflow-free behaviour at
-    large ``beta omega``; tends to 1 in the ground-state limit.
-    """
-    if not (beta > 0 and omega > 0):
-        raise ValueError("beta and omega must be positive")
-    return 1.0 / math.tanh(0.5 * beta * omega)
-
-
 def normal_mode_spectrum(ham: HamiltonianSpec) -> FrequencySpectrum:
     """Decompose a Hamiltonian matrix into frequency sectors.
 
@@ -230,26 +212,6 @@ def thermal_state(beta: float, ham: HamiltonianSpec) -> GaussianState:
     return GaussianState(ham.n_modes, ham.center.copy(), cm)
 
 
-_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two halves of 26 bits
-
-
-def _two_product(x: float, y: float) -> tuple:
-    """``(p, e)`` with ``p = fl(x y)`` and ``p + e = x y`` exactly.
-
-    Dekker's two-product over Veltkamp's split (Numer. Math. 18, 224
-    (1971)); exact unless ``2**27 x`` or ``2**27 y`` overflows or ``e``
-    falls into the subnormal range.
-    """
-    t = _VELTKAMP * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _VELTKAMP * y
-    yh = t - (t - y)
-    yl = y - yh
-    p = x * y
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-
 def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> SingleModeNormalForm:
     """Extract (nu, z, phi) from a single-mode covariance matrix.
 
@@ -275,9 +237,7 @@ def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> Single
     e = math.frexp(m)[1]
     a, c = math.ldexp(a, -e), math.ldexp(c, -e)
     b = 0.5 * (math.ldexp(b, -e) + math.ldexp(b_t, -e))
-    ac, ac_err = _two_product(a, c)
-    bb, bb_err = _two_product(b, b)
-    det = (ac - bb) + (ac_err - bb_err)
+    det = _det(a, b, c)
     if not (det > 0.0 and a > 0.0):  # a NaN det is refused too
         raise ValueError("covariance matrix must be positive definite")
     root = math.sqrt(det)
@@ -292,20 +252,6 @@ def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> Single
     # nu D_phi diag(z, 1/z) D_phi^T has (a - c)/2 = k cos 2 phi and b = -k sin 2 phi, k > 0.
     phi = 0.5 * math.atan2(-b, half_diff) % math.pi
     return SingleModeNormalForm(nu=nu, z=z, phi=phi if phi < math.pi else 0.0)
-
-
-def entropy(nu: float) -> float:
-    """Von Neumann entropy (nats) of a mode with symplectic eigenvalue ``nu``.
-
-    ``(nu+1)/2 ln((nu+1)/2) - (nu-1)/2 ln((nu-1)/2)``; zero for pure states.
-    With ``dn = (nu-1)/2`` this is ``ln(1+dn) + dn ln(1+1/dn)``, which has no
-    cancellation between two ``x ln x`` terms at any ``nu``.
-    """
-    _check_nu(nu, "nu")
-    dn = 0.5 * (nu - 1.0)
-    if dn == 0.0:
-        return 0.0
-    return math.log1p(dn) + dn * math.log1p(1.0 / dn)
 
 
 def free_energy(nu: float, z: float, beta: float, omega: float) -> float:

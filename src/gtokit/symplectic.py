@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STRUCTURAL_TOL = 1e-9
+from .scalar import STRUCTURAL_TOL, _is_symplectic_2x2
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -75,8 +75,7 @@ def is_symplectic(S: np.ndarray) -> bool:
     S = np.asarray(S, dtype=float)
     n = _check_square_even(S, "S")
     if n == 1:
-        (s00, s01), (s10, s11) = S.tolist()
-        return abs(s00 * s11 - s01 * s10 - 1.0) <= STRUCTURAL_TOL
+        return _is_symplectic_2x2(*S.ravel().tolist())
     Om = omega(n)
     return bool(np.abs(S @ Om @ S.T - Om).max() <= STRUCTURAL_TOL)
 

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -153,8 +153,29 @@ class TestProtocolStep:
         initial = GaussianState(1, np.zeros(2), 3.0 * squeezer(1.2))
         assert json.loads(out)["steps"] == [list(s) for s in run_protocol(initial, [step], 2.0).steps]
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(nu_0=st.floats(1.0, 6.0), z_0=st.floats(0.2, 5.0), nu_b=st.floats(1.0, 6.0), steps=protocol_steps)
+    def test_cli_prints_the_library_trace(self, gtokit_run, nu_0, z_0, nu_b, steps):
+        # ``gtokit cool`` runs the library's float loop on the payload's numbers.
+        payload = {"nu0": nu_0, "z0": z_0, "nu_b": nu_b,
+                   "steps": [{"unitary": s.unitary.tolist(), "p": s.gto_p, "phi": s.gto_phi} for s in steps]}
+        code, out = gtokit_run(["cool", "--json"], payload)
+        trace = run_protocol(GaussianState(1, np.zeros(2), nu_0 * squeezer(z_0)), steps, nu_b)
+        assert json.loads(out) == {"steps": [list(s) for s in trace.steps], "bound": trace.bound,
+                                   "violated": trace.violated}
+        assert code == 0
+
 
 class TestRunProtocol:
+    @given(nu_0=st.floats(1.0, 1e6), z_0=st.floats(1e-3, 1e3))
+    def test_initial_nu_is_the_root_of_the_exact_determinant(self, nu_0, z_0):
+        # One rounding for det, one for its root: within one ulp, where
+        # numpy's log-determinant read det(3 * 1) as 9.000000000000002.
+        cm = nu_0 * squeezer(z_0)
+        nu = run_protocol(GaussianState(1, np.zeros(2), cm), [], nu_b=2.0).nus[0]
+        assert abs(nu - mpmath.sqrt(mpmath.mpf(cm[0, 0]) * mpmath.mpf(cm[1, 1]))) <= math.ulp(nu)
+        assert run_protocol(GaussianState(1, np.zeros(2), 3.0 * np.eye(2)), [], nu_b=2.0).nus[0] == 3.0
+
     def test_empty_protocol(self):
         state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))
         trace = run_protocol(state, [], nu_b=2.0)
@@ -474,6 +495,12 @@ class TestSidebandSwap:
         for omega in (0.5, 1.0, 3.0, 8.0):
             _, nu = sideband_swap(state, beta=1.1, omega_ancilla=omega)
             assert nu == pytest.approx(nu_of(1.1, omega), abs=1e-12)
+
+    @given(nu_0=st.floats(1.0, 6.0), beta=st.floats(0.5, 2.0), omega=st.floats(0.1, 16.0))
+    def test_achieved_nu_is_the_ancilla_value_exactly(self, nu_0, beta, omega):
+        # The swap leaves nu_a * 1, whose error-free determinant has nu_a as its root.
+        _, nu = sideband_swap(GaussianState(1, np.zeros(2), nu_0 * np.eye(2)), beta, omega)
+        assert nu == nu_of(beta, omega)
 
     def test_higher_sideband_cools_further(self):
         state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))

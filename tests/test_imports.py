@@ -1,9 +1,12 @@
-"""gtokit runs on numpy alone: scipy is a test-only reference.
+"""gtokit runs on numpy alone, and its single-mode subcommands on no numpy.
 
-``import gtokit`` must not load scipy, and every subcommand must give the
-same output when scipy cannot be imported at all.  A finder on
-``sys.meta_path`` that refuses every scipy module stands in for a missing
-scipy; each check runs in a fresh interpreter.
+scipy is a test-only reference: ``import gtokit`` must not load it, and
+every subcommand must give the same output when scipy cannot be imported at
+all.  ``feasible`` and protocol ``cool`` run on Python floats: ``import
+gtokit, gtokit.cli`` must not load numpy, and those subcommands must give
+the same output, exit code and message when numpy cannot be imported.  A
+finder on ``sys.meta_path`` that refuses every module of a package stands in
+for a missing package; each check runs in a fresh interpreter.
 """
 
 import json
@@ -16,20 +19,22 @@ import numpy as np
 
 import gtokit
 
-BLOCK_SCIPY = """
+BLOCK_PACKAGE = """
 import sys
 
-class BlockScipy:
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"scipy is blocked: {name}")
+        if name.split(".")[0] == "{package}":
+            raise ImportError(f"{package} is blocked: {{name}}")
         return None
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
 """
+BLOCK_SCIPY = BLOCK_PACKAGE.format(package="scipy")
+BLOCK_NUMPY = BLOCK_PACKAGE.format(package="numpy")
 
 # Reads [[argv, stdin], ...] on stdin, runs each through ``cli.main`` and
-# prints [[exit code, stdout], ...] as JSON.
+# prints [[exit code, stdout, stderr], ...] as JSON.
 RUN_CASES = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -37,14 +42,14 @@ from gtokit.cli import main
 
 results = []
 for argv, stdin in json.loads(sys.stdin.read()):
-    out, saved = io.StringIO(), sys.stdin
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results))
 """
 
@@ -58,8 +63,8 @@ def run_python(code: str, stdin: str = "") -> subprocess.CompletedProcess:
     )
 
 
-def run_cases(cases: list, block_scipy: bool) -> list:
-    proc = run_python((BLOCK_SCIPY if block_scipy else "") + RUN_CASES, json.dumps(cases))
+def run_cases(cases: list, blocker: str = "") -> list:
+    proc = run_python(blocker + RUN_CASES, json.dumps(cases))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -116,11 +121,11 @@ def test_importing_gtokit_loads_no_scipy():
 
 
 def test_every_subcommand_runs_without_scipy():
-    blocked = run_cases(SCIPY_FREE_CASES, block_scipy=True)
-    free = run_cases(SCIPY_FREE_CASES, block_scipy=False)
+    blocked = run_cases(SCIPY_FREE_CASES, BLOCK_SCIPY)
+    free = run_cases(SCIPY_FREE_CASES)
     for (argv, _), got, want in zip(SCIPY_FREE_CASES, blocked, free):
         assert got == want, argv
-    assert [code for code, _ in free] == [0] * len(SCIPY_FREE_CASES)
+    assert [code for code, _, _ in free] == [0] * len(SCIPY_FREE_CASES)
 
 
 def test_the_decompositions_load_no_scipy():
@@ -130,7 +135,7 @@ def test_the_decompositions_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     results, loaded = proc.stdout.splitlines()
-    assert [code for code, _ in json.loads(results)] == [0, 0, 0]
+    assert [code for code, _, _ in json.loads(results)] == [0, 0, 0]
     assert json.loads(loaded) == []
 
 
@@ -139,3 +144,63 @@ def test_the_blocker_refuses_scipy():
     proc = run_python(BLOCK_SCIPY + "import scipy.linalg")
     assert proc.returncode != 0
     assert "scipy is blocked" in proc.stderr
+
+
+def cool(payload: dict, *flags: str) -> list:
+    return [["cool", *flags], json.dumps(payload)]
+
+
+# (case, exit code): every ``feasible`` verdict and protocol ``cool`` output,
+# and each refusal of protocol ``cool``.
+SQUEEZE_STEPS = [{"squeeze": 2, "rotate": 0.3, "p": 0.4}, {"squeeze": 1.5, "p": 0.7, "phi": 1.1}]
+UNITARY_STEPS = [{"unitary": [[0.5, 0.1], [-0.2, 1.96]], "p": 0.3, "phi": 1.1}, {"unitary": [[1, 0], [0, 1]], "p": 1}]
+NUMPY_FREE_CASES = [
+    ([["feasible"], json.dumps(WORKED)], 0),
+    ([["feasible"], json.dumps(dict(WORKED, vartheta=0.7))], 0),
+    ([["feasible"], json.dumps(dict(WORKED, nu_f=1.5))], 1),
+    # The verdict's tolerance scales with nu_i z_i, the bounds' does not.
+    ([["feasible"], json.dumps(
+        {"nu_i": 2.0, "z_i": 100.0, "nu_f": 1.9999999259924925, "z_f": 100.00000374962552, "nu_b": 3.0})], 3),
+    (cool({"nu0": 5, "nu_b": 2}), 0),
+    (cool({"nu0": 5, "nu_b": 2, "z0": 1.7, "steps": SQUEEZE_STEPS}), 0),
+    (cool({"nu0": 5, "nu_b": 2, "z0": 1.7, "steps": SQUEEZE_STEPS}, "--json"), 0),
+    (cool({"nu0": 3, "nu_b": 2, "steps": UNITARY_STEPS}), 0),
+    (cool({"nu0": 3, "nu_b": 2, "z0": 4, "steps": UNITARY_STEPS}, "--json"), 0),
+    (cool({"nu0": 0.99999999, "nu_b": 2}), 2),  # below 1 - STRUCTURAL_TOL
+    (cool({"nu0": 2, "nu_b": 2, "z0": 0}), 2),
+    (cool({"nu0": 2, "nu_b": 2, "z0": -1.5}), 2),
+    (cool({"nu0": 1e10, "nu_b": 2, "z0": 1e300}), 2),  # the entry nu0 z0 overflows
+    (cool({"nu0": 2, "nu_b": 2, "steps": [{"squeeze": 1.5, "p": 0.5}, {"squeeze": 1e200, "p": 0.5}]}), 2),
+    (cool({"nu0": 2, "nu_b": 2, "steps": [{"squeeze": 2, "p": 1.5}]}), 2),
+    (cool({"nu0": 2, "nu_b": 2, "steps": [{"unitary": [[1, 0], [0, 1]], "p": -0.1}]}), 2),
+    (cool({"nu0": 2, "nu_b": 2, "steps": [{"unitary": [[2, 0], [0, 1]], "p": 0.5}]}), 2),
+    (cool({"nu0": 2, "nu_b": 2, "steps": [{"unitary": [1, 0, 0, 1], "p": 0.5}]}), 2),
+    (cool({"nu0": 2, "nu_b": 2, "steps": [{"unitary": [[1, 0], [0]], "p": 0.5}]}), 2),
+    (cool({"nu0": 2, "nu_b": 0.5}), 2),
+]
+
+
+def test_importing_gtokit_and_its_cli_loads_no_numpy():
+    proc = run_python(
+        "import json, sys, gtokit, gtokit.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_the_single_mode_subcommands_run_without_numpy():
+    cases = [case for case, _ in NUMPY_FREE_CASES]
+    blocked = run_cases(cases, BLOCK_NUMPY)
+    free = run_cases(cases)
+    for case, got, want in zip(cases, blocked, free):
+        assert got == want, case
+    assert [code for code, _, _ in free] == [code for _, code in NUMPY_FREE_CASES]
+    assert all(err.startswith("error: ") for code, _, err in free if code == 2)
+
+
+def test_the_blocker_refuses_numpy():
+    # Negative control: the blocker does stand in for a missing numpy.
+    proc = run_python(BLOCK_NUMPY + "import numpy")
+    assert proc.returncode != 0
+    assert "numpy is blocked" in proc.stderr

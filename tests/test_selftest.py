@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gtokit import channels, cooling, selftest, states
+from gtokit import channels, cooling, scalar, selftest, states
 from gtokit.channels import GaussianChannel
 from gtokit.symplectic import random_unitary, unitary_to_passive
 
@@ -50,6 +50,11 @@ def on_result(fault):
             selftest.suite_cooling_bound, cooling, "_gto_step",
             # the step kernel's last argument is the bath term q = (1 - p) nu_b
             lambda step: lambda *args: step(*args[:-1], 0.0), id="cooling-no-bath",
+        ),
+        pytest.param(
+            # the same fault in the protocol loop, which calls the kernel in its own module
+            selftest.suite_cooling_bound, scalar, "_gto_step",
+            lambda step: lambda *args: step(*args[:-1], 0.0), id="cooling-protocol-no-bath",
         ),
         pytest.param(
             selftest.suite_thermo_agreement, selftest, "cross_check",
