@@ -9,7 +9,7 @@ The public names below resolve on first use (PEP 562), each from the module
 listed with it, so that ``import gtokit`` loads no numpy.
 """
 
-import importlib
+import importlib as _importlib
 
 _EXPORTS = {
     "symplectic": (
@@ -78,16 +78,18 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# A star-import resolves these through __getattr__: the exports and their modules.
+__all__ = sorted(_HOME) + list(_EXPORTS)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
     if name in _EXPORTS:  # the modules themselves, as when the package imported them eagerly
-        return importlib.import_module(f".{name}", __name__)
+        return _importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(_importlib.import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
 

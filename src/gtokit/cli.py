@@ -313,12 +313,18 @@ def _trace_csv(steps: list, bound: float) -> str:
 
 
 def _start(v: dict) -> tuple:
-    """Diagonal ``(a, c)`` of the squeezed thermal start ``nu0 * squeezer(z0)`` of a ``cool`` payload."""
+    """Diagonal ``(a, c)`` of the squeezed thermal start ``nu0 * squeezer(z0)`` of a ``cool`` payload.
+
+    The start is physical iff ``nu0``, its symplectic eigenvalue, is at
+    least ``1 - STRUCTURAL_TOL``.
+    """
     z0 = v.get("z0", 1.0)
     _check_squeeze(z0)
     a, c = v["nu0"] * z0, v["nu0"] * (1.0 / z0)
     if not (math.isfinite(a) and math.isfinite(c)):
         raise ValueError("cm must be finite")
+    if not v["nu0"] >= 1.0 - STRUCTURAL_TOL:
+        raise ValueError("initial state has an invalid covariance matrix")
     return a, c
 
 

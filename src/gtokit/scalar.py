@@ -165,10 +165,11 @@ def protocol_trace(a: float, b: float, c: float, steps, nu_b: float) -> tuple:
     ``cm -> p M cm M^T + q 1`` with ``M = D_phi U`` and ``q = (1 - p) nu_b``
     (:func:`_gto_step`, ``det M = det U``).
 
-    The initial state must be physical (``a > 0`` and ``sqrt(det) >= 1 -
-    STRUCTURAL_TOL``, the single-mode form of ``validate_state``), and so
-    must every step's output (``a > 0`` and ``det >= (1 - CHANNEL_TOL)^2``).
-    ``det`` starts as :func:`_det`'s error-free determinant.
+    The caller vouches for the initial state: ``run_protocol`` checks it
+    with ``validate_state``, the CLI its diagonal start on floats.  Every
+    step's output must be physical (``a > 0`` and ``det >= (1 -
+    CHANNEL_TOL)^2``).  ``det`` starts as :func:`_det`'s error-free
+    determinant.
 
     Returns:
         ``(trace, bound, violated)``: the ``(nu, entropy)`` pairs, entry 0
@@ -176,14 +177,12 @@ def protocol_trace(a: float, b: float, c: float, steps, nu_b: float) -> tuple:
         whether an entropy falls more than ``BOUND_TOL`` below it.
 
     Raises:
-        ValueError: on an unphysical initial state or an invalid ``nu_b``; if
-            step k's output covariance matrix or its determinant overflows
-            ("protocol step k overflows"); or if a step's output is
-            unphysical ("input state has an invalid covariance matrix").
+        ValueError: on an invalid ``nu_b``; if step k's output covariance
+            matrix or its determinant overflows ("protocol step k
+            overflows"); or if a step's output is unphysical ("input state
+            has an invalid covariance matrix").
     """
     det = _det(a, b, c)
-    if not (a > 0.0 and det > 0.0 and math.sqrt(det) >= 1.0 - STRUCTURAL_TOL):
-        raise ValueError("initial state has an invalid covariance matrix")
     _check_nu(nu_b, "nu_b")
     nu_b = float(nu_b)  # with p, keeps the steps on Python floats, which never warn
     nu_0 = _nu_of_det(det)

@@ -22,11 +22,13 @@ from gtokit.cooling import (
 from gtokit.states import (
     GaussianState,
     HamiltonianSpec,
+    SingleModeNormalForm,
     entropy,
     nu_of,
     rotation,
     squeezer,
     thermal_state,
+    validate_state,
 )
 
 LN3 = 1.0986122886681098
@@ -253,6 +255,16 @@ class TestRunProtocol:
         bad = GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
         with pytest.raises(ValueError):
             run_protocol(bad, [], nu_b=2.0)
+
+    def test_runs_from_every_state_that_validate_state_accepts(self):
+        # Rounding the entries of this squeezed near-vacuum state puts the
+        # root of its error-free determinant at 0.9999999988, below 1 -
+        # STRUCTURAL_TOL; validate_state accepts it, so the run does too.
+        state = GaussianState(1, np.zeros(2), SingleModeNormalForm(1.0, 6664.0, 1.0).to_cm())
+        assert validate_state(state)
+        trace = run_protocol(state, [ProtocolStep(np.eye(2), 0.5)], nu_b=2.0)
+        assert trace.nus[0] == 1.0
+        assert not trace.violated
 
     @given(
         nu_0=st.floats(1.0, 6.0),

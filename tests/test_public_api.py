@@ -96,3 +96,11 @@ def test_from_gtokit_import_a_submodule():
     from gtokit import selftest
 
     assert selftest is importlib.import_module("gtokit.selftest")
+
+
+def test_a_star_import_yields_every_export_and_module():
+    namespace = {}
+    exec("from gtokit import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(EXPORTS) | set(gtokit._EXPORTS)
+    assert all(namespace[name] is getattr(gtokit, name) for name in namespace)
