@@ -78,16 +78,25 @@ def _two_product(x: float, y: float) -> tuple:
 def _det(a: float, b: float, c: float) -> float:
     """``det [[a, b], [b, c]] = a c - b^2`` for finite entries, rounded once.
 
-    The entries are scaled by a power of two, which is exact, so that both
-    error-free products stay in range; an overflowing determinant is ``inf``.
+    Each entry is split exactly into a mantissa in [0.5, 1) and a power of
+    two, so the error-free products of the mantissas stay in range however
+    far apart the entries' magnitudes lie (``a = 3e300``, ``c = 3e-300``).
+    ``a c`` and ``b^2`` are then scaled to the larger of their exponents; a
+    term this pushes below the double range is negligible beside the
+    other.  An overflowing determinant is ``inf`` with its sign.
     """
-    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
-    ac, ac_err = _two_product(math.ldexp(a, -e), math.ldexp(c, -e))
-    bb, bb_err = _two_product(math.ldexp(b, -e), math.ldexp(b, -e))
+    (ma, ea), (mb, eb), (mc, ec) = math.frexp(a), math.frexp(b), math.frexp(c)
+    ac, ac_err = _two_product(ma, mc)
+    bb, bb_err = _two_product(mb, mb)
+    e_ac, e_bb = ea + ec, 2 * eb
+    e = max(e_ac if ac else e_bb, e_bb if bb else e_ac)  # a zero term's exponent does not count
+    ac, ac_err = math.ldexp(ac, e_ac - e), math.ldexp(ac_err, e_ac - e)
+    bb, bb_err = math.ldexp(bb, e_bb - e), math.ldexp(bb_err, e_bb - e)
+    det = (ac - bb) + (ac_err - bb_err)
     try:
-        return math.ldexp((ac - bb) + (ac_err - bb_err), 2 * e)
+        return math.ldexp(det, e)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, det)
 
 
 def _is_symplectic_2x2(s00: float, s01: float, s10: float, s11: float) -> bool:

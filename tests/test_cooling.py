@@ -19,6 +19,7 @@ from gtokit.cooling import (
     run_protocol,
     sideband_swap,
 )
+from gtokit.scalar import _det
 from gtokit.states import (
     GaussianState,
     HamiltonianSpec,
@@ -255,6 +256,23 @@ class TestRunProtocol:
         bad = GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
         with pytest.raises(ValueError):
             run_protocol(bad, [], nu_b=2.0)
+
+    @given(a=st.floats(-1e300, 1e300), b=st.floats(-1e300, 1e300), c=st.floats(-1e300, 1e300))
+    def test_det_is_exact_at_any_spread_of_the_entries(self, a, b, c):
+        # One common power-of-two scale sent c = 3e-300 to zero beside a =
+        # 3e300, so a start nu0 = 3, z0 = 1e300 read as nu_0 = 1.
+        with mpmath.workprec(2400):
+            exact = mpmath.mpf(a) * c - mpmath.mpf(b) ** 2
+            expected, det = float(exact), _det(a, b, c)
+            if math.isinf(expected):
+                assert det == expected
+            else:
+                assert abs(mpmath.mpf(det) - exact) <= math.ulp(expected)
+
+    def test_cli_runs_from_a_start_squeezed_to_the_double_range(self, gtokit_run):
+        code, out = gtokit_run(["cool", "--json"], {"nu0": 3.0, "nu_b": 2.0, "z0": 1e300})
+        assert code == 0
+        assert json.loads(out)["steps"][0][0] == pytest.approx(3.0, rel=1e-15)
 
     def test_runs_from_every_state_that_validate_state_accepts(self):
         # Rounding the entries of this squeezed near-vacuum state puts the
