@@ -201,14 +201,14 @@ def _frequency_sector(value, key: str):
     from .states import FrequencySector
 
     v = _keys(value, key, {"omega": _number, "multiplicity": _count, "mode_indices": _list(_count)})
-    return FrequencySector(v["omega"], v["multiplicity"], tuple(v["mode_indices"]))
+    return FrequencySector(v["omega"], v["multiplicity"], v["mode_indices"])
 
 
 def _spectrum(value, key: str):
     from .states import FrequencySpectrum
 
     v = _keys(value, key, {"S": _array, "sectors": _list(_frequency_sector)})
-    return FrequencySpectrum(v["S"], tuple(v["sectors"]))
+    return FrequencySpectrum(v["S"], v["sectors"])
 
 
 def _gto_sector(value, key: str):

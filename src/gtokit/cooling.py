@@ -28,7 +28,7 @@ from .scalar import (
     nu_of,
     protocol_trace,
 )
-from .states import GaussianState, validate_state
+from .states import GaussianState, _Frozen, validate_state
 
 # θ = π/2 beam splitter: a full state swap between the two modes.
 _SWAP_4 = np.block(
@@ -36,8 +36,8 @@ _SWAP_4 = np.block(
 )
 
 
-@dataclass
-class ProtocolStep:
+@dataclass(frozen=True)
+class ProtocolStep(_Frozen):
     """One round: a Gaussian unitary followed by a partial thermalization."""
 
     unitary: np.ndarray
@@ -45,8 +45,8 @@ class ProtocolStep:
     gto_phi: float = 0.0
 
     def __post_init__(self):
-        self.unitary = np.asarray(self.unitary, dtype=float)
-        _check_step(tuple(self.unitary.ravel().tolist()) if self.unitary.shape == (2, 2) else (), self.gto_p)
+        U = self._store("unitary", self.unitary)
+        _check_step(tuple(U.ravel().tolist()) if U.shape == (2, 2) else (), self.gto_p)
 
     @classmethod
     def from_params(cls, squeeze: float, rotate: float, p: float, phi: float = 0.0) -> "ProtocolStep":
@@ -100,9 +100,9 @@ def run_protocol(initial: GaussianState, steps, nu_b: float) -> CoolingTrace:
     Raises:
         ValueError: on invalid input; if step k's output covariance matrix
             or its determinant overflows ("protocol step k overflows"); or if
-            a step's output is unphysical, as after a unitary that is not
-            symplectic was assigned to a built step ("input state has an
-            invalid covariance matrix").
+            step k's output is unphysical ("protocol step k output has an
+            invalid covariance matrix"), as when symplectic steps within
+            tolerance drift the determinant below its floor.
     """
     if initial.n_modes != 1:
         raise ValueError("cooling protocols act on a single mode")

@@ -75,15 +75,16 @@ def _two_product(x: float, y: float) -> tuple:
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
-def _det(a: float, b: float, c: float) -> float:
-    """``det [[a, b], [b, c]] = a c - b^2`` for finite entries, rounded once.
+def _det_split(a: float, b: float, c: float) -> tuple:
+    """``(m, e)`` with ``det [[a, b], [b, c]] = a c - b^2 = m 2^e`` for
+    finite entries, ``m`` rounded once.
 
     Each entry is split exactly into a mantissa in [0.5, 1) and a power of
     two, so the error-free products of the mantissas stay in range however
     far apart the entries' magnitudes lie (``a = 3e300``, ``c = 3e-300``).
     ``a c`` and ``b^2`` are then scaled to the larger of their exponents; a
     term this pushes below the double range is negligible beside the
-    other.  An overflowing determinant is ``inf`` with its sign.
+    other.
     """
     (ma, ea), (mb, eb), (mc, ec) = math.frexp(a), math.frexp(b), math.frexp(c)
     ac, ac_err = _two_product(ma, mc)
@@ -92,7 +93,12 @@ def _det(a: float, b: float, c: float) -> float:
     e = max(e_ac if ac else e_bb, e_bb if bb else e_ac)  # a zero term's exponent does not count
     ac, ac_err = math.ldexp(ac, e_ac - e), math.ldexp(ac_err, e_ac - e)
     bb, bb_err = math.ldexp(bb, e_bb - e), math.ldexp(bb_err, e_bb - e)
-    det = (ac - bb) + (ac_err - bb_err)
+    return (ac - bb) + (ac_err - bb_err), e
+
+
+def _det(a: float, b: float, c: float) -> float:
+    """``det [[a, b], [b, c]]``, rounded once; an overflow is ``inf`` with its sign."""
+    det, e = _det_split(a, b, c)
     try:
         return math.ldexp(det, e)
     except OverflowError:
@@ -188,8 +194,8 @@ def protocol_trace(a: float, b: float, c: float, steps, nu_b: float) -> tuple:
     Raises:
         ValueError: on an invalid ``nu_b``; if step k's output covariance
             matrix or its determinant overflows ("protocol step k
-            overflows"); or if a step's output is unphysical ("input state
-            has an invalid covariance matrix").
+            overflows"); or if step k's output is unphysical ("protocol step
+            k output has an invalid covariance matrix").
     """
     det = _det(a, b, c)
     _check_nu(nu_b, "nu_b")
@@ -201,9 +207,11 @@ def protocol_trace(a: float, b: float, c: float, steps, nu_b: float) -> tuple:
         co, si = math.cos(phi), math.sin(phi)
         M = _mul((co, si, -si, co), U)
         a, b, c, det = _gto_step(a, b, c, det, M, U[0] * U[3] - U[1] * U[2], p, (1.0 - p) * nu_b)
+        # Checked steps reach this: each |det U - 1| is within STRUCTURAL_TOL, but from the
+        # vacuum the 11th step of diag(1 - 1e-9, 1) at p = 1 takes det below _MIN_DET.
         if not (a > 0.0 and _MIN_DET <= det < math.inf):
             if all(map(math.isfinite, (a, b, c, det))):
-                raise ValueError("input state has an invalid covariance matrix")
+                raise ValueError(f"protocol step {len(trace)} output has an invalid covariance matrix")
             raise ValueError(
                 f"protocol step {len(trace)} overflows: its output covariance matrix "
                 "or that matrix's determinant is not finite"

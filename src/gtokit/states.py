@@ -5,11 +5,11 @@ so symplectic eigenvalues of physical states satisfy nu >= 1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scalar import STRUCTURAL_TOL, _check_nu, _check_squeeze, _det, entropy, nu_of
+from .scalar import STRUCTURAL_TOL, _check_nu, _check_squeeze, _det_split, entropy, nu_of
 from .symplectic import (
     _check_finite,
     _check_spd,
@@ -33,8 +33,24 @@ def squeezer(z: float) -> np.ndarray:
     return np.diag([z, 1.0 / z])
 
 
-@dataclass
-class GaussianState:
+class _Frozen:
+    """Base of the frozen dataclasses that check their fields on construction.
+    Copies and pickles go through the constructor too (``__reduce__``): the
+    default protocols would hand back writable arrays."""
+
+    def _store(self, name: str, value, dtype=float) -> np.ndarray:
+        """Store a read-only ``dtype`` copy of ``value`` as field ``name``, and return it."""
+        arr = np.array(value, dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
+        return arr
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True)
+class GaussianState(_Frozen):
     """First moments and covariance matrix of an n-mode Gaussian state.
 
     Both must be finite; physicality is :func:`validate_state`'s question.
@@ -45,15 +61,13 @@ class GaussianState:
     cm: np.ndarray
 
     def __post_init__(self):
-        self.first_moments = _check_finite(np.asarray(self.first_moments, dtype=float), "first_moments")
-        self.cm = _check_finite(np.asarray(self.cm, dtype=float), "cm")
+        r = _check_finite(self._store("first_moments", self.first_moments), "first_moments")
+        cm = _check_finite(self._store("cm", self.cm), "cm")
         d = 2 * self.n_modes
-        if self.first_moments.shape != (d,):
-            raise ValueError(
-                f"first_moments must have length {d}, got {self.first_moments.shape}"
-            )
-        if self.cm.shape != (d, d):
-            raise ValueError(f"cm must be {d}x{d}, got {self.cm.shape}")
+        if r.shape != (d,):
+            raise ValueError(f"first_moments must have length {d}, got {r.shape}")
+        if cm.shape != (d, d):
+            raise ValueError(f"cm must be {d}x{d}, got {cm.shape}")
 
     @classmethod
     def vacuum(cls, n_modes: int) -> "GaussianState":
@@ -77,21 +91,18 @@ class SingleModeNormalForm:
         return self.nu * D @ np.diag([self.z, 1.0 / self.z]) @ D.T
 
 
-@dataclass
-class HamiltonianSpec:
+@dataclass(frozen=True)
+class HamiltonianSpec(_Frozen):
     """Quadratic Hamiltonian ``(r - center)^T H (r - center) / 2`` with H > 0."""
 
     H: np.ndarray
     center: np.ndarray | None = None
 
     def __post_init__(self):
-        self.H = _check_spd(np.asarray(self.H, dtype=float), STRUCTURAL_TOL, "H")
-        d = self.H.shape[0]
-        if self.center is None:
-            self.center = np.zeros(d)
-        self.center = np.asarray(self.center, dtype=float)
-        if self.center.shape != (d,):
-            raise ValueError(f"center must have length {d}, got {self.center.shape}")
+        d = self._store("H", _check_spd(self.H, STRUCTURAL_TOL, "H")).shape[0]
+        center = self._store("center", np.zeros(d) if self.center is None else self.center)
+        if center.shape != (d,):
+            raise ValueError(f"center must have length {d}, got {center.shape}")
 
     @property
     def n_modes(self) -> int:
@@ -106,15 +117,22 @@ class FrequencySector:
     multiplicity: int
     mode_indices: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "mode_indices", tuple(self.mode_indices))
+
 
 @dataclass(frozen=True)
-class FrequencySpectrum:
+class FrequencySpectrum(_Frozen):
     """Normal-mode data of ``H = S diag(omega) S^T``: ``S^{-1} H S^{-T}`` is the
     direct sum of ``omega_l 1_{2 n_l}`` over the sectors, and the normal
     coordinates are ``S^T r``."""
 
     S: np.ndarray
     sectors: tuple
+
+    def __post_init__(self):
+        self._store("S", self.S)
+        object.__setattr__(self, "sectors", tuple(self.sectors))
 
     @property
     def n_modes(self) -> int:
@@ -141,15 +159,10 @@ def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:
     """Symplectic eigenvalues of a physical state's covariance matrix, else None.
 
     The one computation behind :func:`validate_state` and the ``validate``
-    report: None when the first moments are not finite,
-    ``symplectic_eigenvalues(cm, tol)`` refuses ``cm``, or the smallest
-    eigenvalue is below ``1 - tol``.  A ``numpy.linalg.LinAlgError`` is a
-    failure of the computation, not a refusal, and propagates.
+    report: None when ``symplectic_eigenvalues(cm, tol)`` refuses ``cm`` or the
+    smallest eigenvalue is below ``1 - tol``.  A ``numpy.linalg.LinAlgError``
+    is a failure of the computation, not a refusal, and propagates.
     """
-    if state.cm.shape != (2 * state.n_modes, 2 * state.n_modes):
-        raise ValueError("covariance matrix shape does not match n_modes")
-    if not np.isfinite(state.first_moments).all():
-        return None
     try:
         nus = symplectic_eigenvalues(state.cm, tol)
     except np.linalg.LinAlgError:
@@ -162,9 +175,9 @@ def _physical_spectrum(state: GaussianState, tol: float) -> np.ndarray | None:
 def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     """Check that the covariance matrix describes a physical Gaussian state.
 
-    True iff the first moments are finite, ``symplectic_eigenvalues(cm, tol)``
-    accepts ``cm`` (finite, symmetric within ``tol``, positive definite), and
-    the smallest symplectic eigenvalue is at least ``1 - tol`` (the uncertainty bound).
+    True iff ``symplectic_eigenvalues(cm, tol)`` accepts ``cm`` (symmetric
+    within ``tol``, positive definite) and the smallest symplectic eigenvalue
+    is at least ``1 - tol`` (the uncertainty bound).
     """
     return _physical_spectrum(state, tol) is not None
 
@@ -209,7 +222,7 @@ def thermal_state(beta: float, ham: HamiltonianSpec) -> GaussianState:
     )
     F = _lab_frame(spectrum.S)
     cm = F @ np.diag(np.repeat(nus, 2)) @ F.T
-    return GaussianState(ham.n_modes, ham.center.copy(), cm)
+    return GaussianState(ham.n_modes, ham.center, cm)
 
 
 def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> SingleModeNormalForm:
@@ -233,20 +246,22 @@ def single_mode_decompose(cm: np.ndarray, tol: float = STRUCTURAL_TOL) -> Single
     # diagonal of cm - cm^T, NaN for a NaN or infinite entry.
     if not (abs(b - b_t) <= tol * max(1.0, m) and a - a == 0.0 == c - c):
         raise ValueError("covariance matrix must be symmetric")
-    # An exact power-of-two scale keeps every product below in range.
-    e = math.frexp(m)[1]
-    a, c = math.ldexp(a, -e), math.ldexp(c, -e)
-    b = 0.5 * (math.ldexp(b, -e) + math.ldexp(b_t, -e))
-    det = _det(a, b, c)
+    b = 0.5 * b + 0.5 * b_t
+    det, e_det = _det_split(a, b, c)
     if not (det > 0.0 and a > 0.0):  # a NaN det is refused too
         raise ValueError("covariance matrix must be positive definite")
-    root = math.sqrt(det)
-    nu = math.ldexp(root, e)
+    # nu = root 2^h: sqrt halves an even exponent exactly, and nothing under- or overflows.
+    h = e_det // 2
+    root = math.sqrt(math.ldexp(det, e_det - 2 * h))
+    nu = math.ldexp(root, h)
     if nu < 1.0 - tol:
         raise ValueError(f"not a physical state: symplectic eigenvalue {nu} < 1")
 
+    # An exact power-of-two scale keeps lambda_+ in range.
+    e = math.frexp(m)[1]
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     half_diff = 0.5 * (a - c)
-    z = (0.5 * (a + c) + math.hypot(half_diff, b)) / root
+    z = math.ldexp((0.5 * (a + c) + math.hypot(half_diff, b)) / root, e - h)
     if z <= 1.0 + tol:
         return SingleModeNormalForm(nu=nu, z=max(z, 1.0), phi=0.0)
     # nu D_phi diag(z, 1/z) D_phi^T has (a - c)/2 = k cos 2 phi and b = -k sin 2 phi, k > 0.

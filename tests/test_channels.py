@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -52,13 +53,14 @@ def uniform_sector_spec(n, omega, beta, Z, thetas, W, S=None):
     return GTOSpec(spectrum=spectrum, beta=beta, sectors=[GTOSector(Z=Z, thetas=thetas, W=W)])
 
 
-def unchecked_channel(**fields):
-    """The one-mode identity channel with ``fields`` assigned after construction,
-    which bypasses the constructor's finiteness check."""
-    ch = GaussianChannel.identity(1)
-    for name, value in fields.items():
-        setattr(ch, name, np.asarray(value, dtype=float))
-    return ch
+def assert_field_refused(name, value):
+    """A one-mode channel whose field ``name`` holds ``value`` is refused by
+    the constructor, and a built channel's field cannot be set to it."""
+    fields = {"X": np.eye(2), "Y": np.zeros((2, 2)), "d": np.zeros(2), name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        GaussianChannel(**fields)
+    with pytest.raises(FrozenInstanceError):
+        setattr(GaussianChannel.identity(1), name, value)
 
 
 class TestNonFiniteConstruction:
@@ -107,24 +109,18 @@ class TestValidateChannel:
         ch = GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
         assert not validate_channel(ch)
 
+    # validate_channel itself no longer looks for non-finite entries: no
+    # channel can hold one.
     def test_non_finite_noise_fails(self):
-        ch = unchecked_channel(Y=np.diag([math.nan, 1.0]))
-        assert not validate_channel(ch)
+        assert_field_refused("Y", np.diag([math.nan, 1.0]))
 
-    # "error": a non-finite X must be refused before the complete-positivity
-    # algebra, which would otherwise warn about invalid values.
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_transfer_fails(self, bad):
-        ch = unchecked_channel(X=np.diag([bad, 1.0]))
-        assert not validate_channel(ch)
+        assert_field_refused("X", np.diag([bad, 1.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_displacement_fails(self, bad):
-        ch = unchecked_channel(d=[bad, 0.0])
-        assert not validate_channel(ch)
-        with pytest.raises(ValueError, match="complete-positivity"):
-            apply_channel(ch, GaussianState.vacuum(1))
+        assert_field_refused("d", np.array([bad, 0.0]))
 
 
 def per_sector_gto_to_channel(spec):
@@ -196,13 +192,18 @@ class TestGtoToChannel:
                 FrequencySector(omega=2.0, multiplicity=1, mode_indices=(1,)),
             ),
         )
-        sectors = [GTOSector(random_unitary(2, 1), [0.2, 0.4], random_unitary(2, 2)),
-                   GTOSector(np.eye(1), [0.3], np.eye(1))]
-        spec = GTOSpec(spectrum=spectrum, beta=1.0, sectors=sectors)
+        blocks = {"Z": random_unitary(2, 1), "W": random_unitary(2, 2)}
+        spec = GTOSpec(spectrum, 1.0, [GTOSector(blocks["Z"], [0.2, 0.4], blocks["W"]),
+                                       GTOSector(np.eye(1), [0.3], np.eye(1))])
         # (1 + 1e-9)^2 - 1 ~ 2e-9: just past STRUCTURAL_TOL, in a non-contiguous sector
-        setattr(spec.sectors[0], block, (1.0 + 1e-9) * getattr(spec.sectors[0], block))
-        with pytest.raises(ValueError, match=f"{block} is not unitary"):
-            gto_to_channel(spec)
+        bad = (1.0 + 1e-9) * blocks[block]
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec.sectors[0], block, bad)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec.sectors[0], block)[...] = bad
+        blocks[block] = bad
+        with pytest.raises(ValueError, match=f"^{block} is not unitary"):
+            GTOSpec(spectrum, 1.0, [GTOSector(blocks["Z"], [0.2, 0.4], blocks["W"]), spec.sectors[1]])
 
     def test_identity_spec(self):
         spec = uniform_sector_spec(1, 1.0, LN3, np.eye(1), [0.0], np.eye(1))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gtokit.channels import single_mode_gto
+from gtokit.cli import main
 from gtokit.cooling import (
     CoolingTrace,
     ProtocolStep,
@@ -336,11 +338,14 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("cm, r", [(math.nan * np.eye(2), np.zeros(2)), (2.0 * np.eye(2), [math.inf, 0.0])])
     def test_rejects_non_finite_initial_state(self, cm, r):
+        # No state holds them, so run_protocol has nothing left to check.
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianState(1, r, cm)
         state = GaussianState.vacuum(1)
-        # Assigned after construction, which refuses them itself.
-        state.cm, state.first_moments = np.asarray(cm), np.asarray(r)
-        with pytest.raises(ValueError, match="initial state"):
-            run_protocol(state, [], nu_b=2.0)
+        with pytest.raises(FrozenInstanceError):
+            state.cm = cm
+        with pytest.raises(FrozenInstanceError):
+            state.first_moments = r
 
     # The first three used to warn, then blame the input state.
     # "error": the refusal alone reports the overflow, with no numpy warning.
@@ -373,12 +378,23 @@ class TestRunProtocol:
         assert_allclose(trace.nus, exact_trace(state, steps, 2.0, dps=400)[0], rtol=1e-12, atol=0.0)
         assert trace.nus[-1] == pytest.approx(8.5e152, rel=0.01)
 
-    def test_checks_the_output_of_the_last_step(self):
-        state = GaussianState(1, np.zeros(2), 3.0 * np.eye(2))
-        steps = [ProtocolStep(np.eye(2), 0.5), ProtocolStep(np.eye(2), 1.0)]
-        steps[-1].unitary = 0.1 * np.eye(2)  # bypasses the step's own check
-        with pytest.raises(ValueError, match="invalid covariance matrix"):
-            run_protocol(state, steps, nu_b=2.0)
+    # Each step's |det U - 1| = 1e-9 passes its own check, but eleven of them
+    # take the vacuum's determinant below (1 - CHANNEL_TOL)^2.
+    DRIFTING_STEP = np.diag([1.0 - 1e-9, 1.0])
+
+    def test_checks_the_output_of_the_last_step(self, tmp_path, capsys):
+        message = "protocol step 11 output has an invalid covariance matrix"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_protocol(GaussianState.vacuum(1), [ProtocolStep(self.DRIFTING_STEP, 1.0)] * 11, nu_b=2.0)
+        path = tmp_path / "in.json"
+        step = {"unitary": self.DRIFTING_STEP.tolist(), "p": 1.0}
+        path.write_text(json.dumps({"nu0": 1.0, "nu_b": 2.0, "steps": [step] * 11}))
+        assert main(["cool", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_ten_drifting_steps_still_run(self):
+        trace = run_protocol(GaussianState.vacuum(1), [ProtocolStep(self.DRIFTING_STEP, 1.0)] * 10, nu_b=2.0)
+        assert len(trace.nus) == 11 and not trace.violated
 
 
 class TestEntropyLowerBound:

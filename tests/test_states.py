@@ -102,11 +102,11 @@ class TestValidateState:
     def test_verdict_equals_the_numpy_statement(self, cm):
         n = len(cm) // 2
         if not np.isfinite(cm).all():
+            # No state holds a NaN, so validate_state never sees one.
             with pytest.raises(ValueError, match="^cm must be finite"):
                 GaussianState(n, np.zeros(2 * n), cm)
-        # Assigned after construction, so validate_state sees the NaN too.
-        state = GaussianState.vacuum(n)
-        state.cm = cm
+            return
+        state = GaussianState(n, np.zeros(2 * n), cm)
         for tol in VALIDATION_TOLS:
             assert validate_state(state, tol) == reference_physical(cm, tol), tol
 
@@ -306,6 +306,27 @@ class TestSingleModeDecompose:
     def test_huge_entries_do_not_overflow(self):
         form = single_mode_decompose(np.diag([4e200, 0.25e200]))
         assert_allclose([form.nu, form.z, form.phi], [1e200, 4.0, 0.0], rtol=1e-15)
+
+    @given(
+        ma=st.floats(1.0, 2.0, exclude_max=True),
+        mc=st.floats(1.0, 2.0, exclude_max=True),
+        ea=st.integers(-1021, 1023),
+        spread=st.integers(0, 2044),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_widely_spread_diagonal_keeps_nu_to_one_ulp(self, ma, mc, ea, spread):
+        # diag(3e300, 3e-300) was refused as not positive definite: a power-of-two
+        # pre-scale sent 3e-300 to zero before the determinant was taken.
+        ec = min(max(spread - ea, -1021), 1023)  # ea + ec >= 0, so a c >= 1
+        a, c = math.ldexp(ma, ea), math.ldexp(mc, ec)
+        form = single_mode_decompose(np.diag([a, c]))
+        with mpmath.workprec(200):
+            want = float(mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(c)))
+        assert abs(form.nu - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("a, c", [(3e300, 3e-300), (3e200, 3e-200), (3e-300, 3e300)])
+    def test_far_apart_entries_are_positive_definite(self, a, c):
+        assert single_mode_decompose(np.diag([a, c])).nu == pytest.approx(3.0, rel=1e-15)
 
     def test_phi_stays_below_pi(self):
         # 0.5 atan2(-b, (a - c)/2) is -1.3e-21 here, and -1.3e-21 mod pi rounds to pi.
