@@ -53,7 +53,7 @@ class ProtocolStep(_Frozen):
         """Build the step unitary as rotation(rotate) @ squeezer(squeeze),
         written entry by entry."""
         u00, u01, u10, u11 = _step_entries(squeeze, rotate)
-        return cls(unitary=np.array([[u00, u01], [u10, u11]]), gto_p=p, gto_phi=phi)
+        return cls(unitary=((u00, u01), (u10, u11)), gto_p=p, gto_phi=phi)
 
 
 @dataclass

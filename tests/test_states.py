@@ -311,13 +311,13 @@ class TestSingleModeDecompose:
         ma=st.floats(1.0, 2.0, exclude_max=True),
         mc=st.floats(1.0, 2.0, exclude_max=True),
         ea=st.integers(-1021, 1023),
-        spread=st.integers(0, 2044),
+        e_sum=st.integers(0, 2044),
     )
     @settings(max_examples=300, deadline=None)
-    def test_widely_spread_diagonal_keeps_nu_to_one_ulp(self, ma, mc, ea, spread):
+    def test_widely_spread_diagonal_keeps_nu_to_one_ulp(self, ma, mc, ea, e_sum):
         # diag(3e300, 3e-300) was refused as not positive definite: a power-of-two
         # pre-scale sent 3e-300 to zero before the determinant was taken.
-        ec = min(max(spread - ea, -1021), 1023)  # ea + ec >= 0, so a c >= 1
+        ec = min(max(e_sum - ea, -1021), 1023)  # ea + ec >= 0, so a c >= 1
         a, c = math.ldexp(ma, ea), math.ldexp(mc, ec)
         form = single_mode_decompose(np.diag([a, c]))
         with mpmath.workprec(200):
