@@ -11,11 +11,12 @@ import numpy as np
 
 from .scalar import STRUCTURAL_TOL, _check_nu, _check_squeeze, _det_split, entropy, nu_of
 from .symplectic import (
+    WilliamsonForm,
     _check_finite,
     _check_spd,
+    _williamson,
     omega,
     symplectic_eigenvalues,
-    williamson,
 )
 
 DEFAULT_FREQ_TOL = 1e-9
@@ -93,16 +94,24 @@ class SingleModeNormalForm:
 
 @dataclass(frozen=True)
 class HamiltonianSpec(_Frozen):
-    """Quadratic Hamiltonian ``(r - center)^T H (r - center) / 2`` with H > 0."""
+    """Quadratic Hamiltonian ``(r - center)^T H (r - center) / 2`` with H > 0.
+
+    The constructor also computes the normal-mode spectrum, once, from the
+    Cholesky factor that proves ``H`` positive definite; it is held outside
+    the fields, and :func:`normal_mode_spectrum` returns it.
+    """
 
     H: np.ndarray
     center: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self._store("H", _check_spd(self.H, STRUCTURAL_TOL, "H")).shape[0]
+        H, L = _check_spd(self.H, STRUCTURAL_TOL, "H")
+        d = self._store("H", H).shape[0]
         center = self._store("center", np.zeros(d) if self.center is None else self.center)
+        _check_finite(center, "center")
         if center.shape != (d,):
             raise ValueError(f"center must have length {d}, got {center.shape}")
+        object.__setattr__(self, "_spectrum", _frequency_spectrum(_williamson(L)))
 
     @property
     def n_modes(self) -> int:
@@ -176,20 +185,27 @@ def validate_state(state: GaussianState, tol: float = STRUCTURAL_TOL) -> bool:
     """Check that the covariance matrix describes a physical Gaussian state.
 
     True iff ``symplectic_eigenvalues(cm, tol)`` accepts ``cm`` (symmetric
-    within ``tol``, positive definite) and the smallest symplectic eigenvalue
-    is at least ``1 - tol`` (the uncertainty bound).
+    within ``tol``, and positive definite: its Cholesky factorisation
+    succeeds) and the smallest symplectic eigenvalue is at least ``1 - tol``
+    (the uncertainty bound).  One Cholesky factorisation and one Hermitian
+    eigenvalue problem, both of size 2n, decide it.
     """
     return _physical_spectrum(state, tol) is not None
 
 
 def normal_mode_spectrum(ham: HamiltonianSpec) -> FrequencySpectrum:
-    """Decompose a Hamiltonian matrix into frequency sectors.
+    """Frequency sectors of a Hamiltonian, as its constructor computed them.
 
-    Williamson-decomposes ``H`` and groups normal-mode frequencies that agree
-    within relative tolerance ``DEFAULT_FREQ_TOL`` into degenerate sectors;
-    the sector frequency is the group mean.
+    ``H``'s Williamson form, with normal-mode frequencies that agree within
+    relative tolerance ``DEFAULT_FREQ_TOL`` grouped into degenerate sectors;
+    the sector frequency is the group mean.  Nothing is recomputed: the
+    spectrum of a frozen ``HamiltonianSpec`` cannot change.
     """
-    form = williamson(ham.H)
+    return ham._spectrum
+
+
+def _frequency_spectrum(form: WilliamsonForm) -> FrequencySpectrum:
+    """Group the Williamson frequencies of ``H`` into sectors (:func:`normal_mode_spectrum`)."""
     freqs = form.nus  # descending
     sectors = []
     start = 0
@@ -211,8 +227,10 @@ def thermal_state(beta: float, ham: HamiltonianSpec) -> GaussianState:
     """Gibbs state of a quadratic Hamiltonian at inverse temperature ``beta``.
 
     The covariance matrix is ``F (direct sum of nu_of(beta, omega_l) 1) F^T``
-    with ``F = S^{-T}`` for the normal-mode frame ``S``; first moments sit at
-    the Hamiltonian center.  ``beta = inf`` gives the ground state.
+    with ``F = S^{-T}`` for the normal-mode frame ``S`` of
+    :func:`normal_mode_spectrum`, which the Hamiltonian holds, so no
+    matrix is factorised here; first moments sit at the Hamiltonian center.
+    ``beta = inf`` gives the ground state.
     """
     if not beta > 0:
         raise ValueError("beta must be positive")

@@ -160,31 +160,35 @@ def _is_symmetric(M: np.ndarray, tol: float) -> bool:
     return bool(np.abs(M - M.T).max() <= tol * max(1.0, np.abs(M).max()))
 
 
-def _check_spd(P: np.ndarray, tol: float, name: str = "P") -> np.ndarray:
-    """Refuse ``P`` unless square, even, finite, symmetric within ``tol`` and positive definite."""
+def _check_spd(P: np.ndarray, tol: float, name: str = "P"):
+    """Refuse ``P`` unless square, even, finite, symmetric within ``tol`` and positive definite.
+
+    Positive definite means that the Cholesky factorisation of the
+    symmetrised ``P`` succeeds: its pivots are all positive.  Returns that
+    symmetrised ``P`` and its lower factor ``L``, ``P = L L^T``, so that no
+    caller factorises or diagonalises ``P`` again to prove the same fact.
+    """
     P = np.asarray(P, dtype=float)
     _check_square_even(P, name)
     _check_finite(P, name)
     if not _is_symmetric(P, tol):
         raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(P).min() <= 0:
-        raise ValueError(f"{name} must be positive definite")
-    return 0.5 * (P + P.T)
+    P = 0.5 * (P + P.T)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} must be positive definite") from None
+    return P, L
 
 
-def _symplectic_hermitian(P: np.ndarray, tol: float):
-    """Cholesky factor ``L`` of a checked ``P`` and the Hermitian ``i L^T Omega L``.
+def _symplectic_hermitian(L: np.ndarray) -> np.ndarray:
+    """The Hermitian ``i L^T Omega L`` of the Cholesky factor of ``P = L L^T``.
 
     ``L^T Omega L`` is antisymmetric and similar to ``Omega P``, so the
     Hermitian matrix has eigenvalues ``+-nu_j``: its top n eigenvalues are
     the symplectic eigenvalues of ``P``.
     """
-    P = _check_spd(P, tol)
-    try:
-        L = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:  # positive eigenvalues too small for the factorisation
-        raise ValueError("P must be positive definite") from None
-    return L, 1j * (L.T @ omega(P.shape[0] // 2) @ L)
+    return 1j * (L.T @ omega(L.shape[0] // 2) @ L)
 
 
 def williamson(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> WilliamsonForm:
@@ -209,9 +213,13 @@ def williamson(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> WilliamsonForm:
     Returns:
         WilliamsonForm with ``S`` symplectic and ``nus`` sorted descending.
     """
-    L, A = _symplectic_hermitian(P, tol)
+    return _williamson(_check_spd(P, tol)[1])
+
+
+def _williamson(L: np.ndarray) -> WilliamsonForm:
+    """:func:`williamson` of ``P = L L^T``, from the Cholesky factor of a checked ``P``."""
     n = L.shape[0] // 2
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(_symplectic_hermitian(L))
     nus, V = w[n:][::-1], V[:, n:][:, ::-1]
     if not nus[-1] > 0:
         raise ValueError("P is numerically singular under the symplectic form")
@@ -242,9 +250,8 @@ def symplectic_eigenvalues(P: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.nda
     The top n eigenvalues of the Hermitian ``i L^T Omega L`` that
     :func:`williamson` diagonalises, reversed.
     """
-    L, A = _symplectic_hermitian(P, tol)
-    n = L.shape[0] // 2
-    return np.linalg.eigvalsh(A)[n:][::-1].copy()
+    L = _check_spd(P, tol)[1]
+    return np.linalg.eigvalsh(_symplectic_hermitian(L))[L.shape[0] // 2:][::-1].copy()
 
 
 def triangularize_offdiagonal(U: np.ndarray, n: int, m: int):
