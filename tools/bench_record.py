@@ -8,16 +8,19 @@ the ``command`` of ``BENCHMARK.json`` once, untraced, for ``run_seconds``.
 The output holds the checkout's ``git describe``, the CPU count, the Python,
 numpy and scipy versions (scipy is null when it is not installed; gtokit
 does not need it), the seeds, and per workload the median and
-quartiles of each end-to-end metric and the share of attempted operations
-that failed.
+quartiles of each end-to-end metric, the share of attempted operations
+that failed, and the quartiles of each run's wall-clock seconds
+(``wall_s``: the run's process from start to exit, setup and checks
+included, so a change that lengthens a run shows even when its metrics do
+not).
 
 With ``--against REF`` the committed files of ``REF`` are exported with
 ``git archive`` into a temporary directory (the repository's ``.git`` is
 only read), and every (workload, seed) pair runs there too, alternately
 first and second.  Each workload then also holds ``against``: per metric
 the reference's quartiles, the per-pair ratios checkout / reference in
-seed order, and the number of pairs the checkout won; and the reference's
-failed share.
+seed order, and the number of pairs the checkout won; the reference's
+failed share; and the quartiles of the reference's ``wall_s``.
 """
 
 import argparse
@@ -29,6 +32,7 @@ import statistics
 import subprocess
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy
@@ -61,8 +65,10 @@ def export(ref: str, into: Path) -> None:
 def run_once(bench: dict, checkout: Path, workload: str, seed: int) -> dict:
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    start = time.perf_counter()
     out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    wall_s = time.perf_counter() - start
+    return {**json.loads(out.strip().splitlines()[-1]), "wall_s": wall_s}
 
 
 def failed_share(runs: list) -> float:
@@ -72,6 +78,7 @@ def failed_share(runs: list) -> float:
 def summarise(runs: list, names: list) -> dict:
     summary = {name: quartiles([r["metrics"][name]["value"] for r in runs]) for name in names}
     summary["failed_share"] = failed_share(runs)
+    summary["wall_s"] = quartiles([r["wall_s"] for r in runs])
     return summary
 
 
@@ -87,6 +94,7 @@ def compare(runs: list, ref_runs: list, metrics: list) -> dict:
             "wins": sum(new < ref if lower else new > ref for new, ref in pairs),
         }
     out["failed_share"] = failed_share(ref_runs)
+    out["wall_s"] = quartiles([r["wall_s"] for r in ref_runs])
     return out
 
 
