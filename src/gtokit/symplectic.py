@@ -173,7 +173,7 @@ def _check_spd(P: np.ndarray, tol: float, name: str = "P"):
     _check_finite(P, name)
     if not _is_symmetric(P, tol):
         raise ValueError(f"{name} must be symmetric")
-    P = 0.5 * (P + P.T)
+    P = 0.5 * P + 0.5 * P.T  # P + P.T overflows from entries of 2^1023
     try:
         L = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -54,6 +55,22 @@ def assert_refused(tmp_path, capsys, argv, payload):
     assert captured.out == ""
     assert "error:" in captured.err
     return captured.err
+
+
+# A physical CM whose entries lie far apart: LAPACK's eigvalsh scales it by
+# its largest entry, 3e-300 underflows to 0, and it used to be called not
+# positive definite.  Its Cholesky factor is exact.
+SPREAD_CM = np.diag([3e300, 3e-300])
+
+
+def spread_nu():
+    """50-digit symplectic eigenvalue ``sqrt(a c)`` of the float matrix ``SPREAD_CM``."""
+    with mpmath.workdps(50):
+        return mpmath.sqrt(mpmath.mpf(SPREAD_CM[0, 0]) * mpmath.mpf(SPREAD_CM[1, 1]))
+
+
+def assert_within_one_ulp(nu, want):
+    assert abs(mpmath.mpf(nu) - want) <= math.ulp(float(want)), (nu, want)
 
 
 # Symmetric only to within 5e-9: physical at --tol-structural 1e-6 and at
@@ -117,6 +134,14 @@ class TestValidate:
         rc, out = run_json(tmp_path, ["validate"], state_payload(2.0 * np.eye(2)))
         assert rc == 1
         assert out == {"valid": False}
+
+    def test_entries_far_apart_are_positive_definite(self, tmp_path):
+        # Exited 1 ("valid": false) when eigvalsh decided positive definiteness.
+        rc, out = run_json(tmp_path, ["validate"], state_payload(SPREAD_CM))
+        assert rc == 0
+        assert out["valid"] is True
+        assert out["symplectic_eigenvalues"] == [3.0000000000000004]
+        assert_within_one_ulp(out["symplectic_eigenvalues"][0], spread_nu())
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -482,6 +507,17 @@ class TestDecompose:
         S, nus = np.array(out["S"]), np.repeat(out["nus"], 2)
         assert np.array_equal(S, np.diag(np.diag(S)))
         assert_allclose(np.diag(S), np.sqrt(np.array(diagonal) / nus), rtol=1e-15)
+
+    def test_entries_far_apart_are_positive_definite(self, tmp_path):
+        # Exited 2 ("P must be positive definite") from williamson, which ran
+        # before single_mode_decompose.
+        rc, out = run_json(tmp_path, ["decompose"], {"cm": SPREAD_CM.tolist()})
+        assert rc == 0
+        assert out["nus"] == [3.0000000000000004]
+        assert out["normal_form"]["nu"] == 3.0000000000000004
+        assert_within_one_ulp(out["nus"][0], spread_nu())
+        S = np.array(out["S"])
+        assert_allclose(S @ np.diag(np.repeat(out["nus"], 2)) @ S.T, SPREAD_CM, rtol=1e-15)
 
     def test_unitary(self, tmp_path):
         U = random_unitary(2, 5)

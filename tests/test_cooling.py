@@ -276,6 +276,18 @@ class TestRunProtocol:
         assert code == 0
         assert json.loads(out)["steps"][0][0] == pytest.approx(3.0, rel=1e-15)
 
+    def test_accepts_the_widely_spread_start_that_cli_cool_accepts(self, gtokit_run):
+        # validate_state refused diag(3e300, 3e-300), so run_protocol did, while
+        # cool answered nu_0 = 3 on the same start.
+        state = GaussianState(1, np.zeros(2), np.diag([3e300, 3e-300]))
+        assert validate_state(state)
+        trace = run_protocol(state, [ProtocolStep(np.eye(2), 0.5)], nu_b=2.0)
+        code, out = gtokit_run(["cool", "--json"], {"nu0": 3.0, "nu_b": 2.0, "z0": 1e300, "steps": [{"p": 0.5}]})
+        assert code == 0
+        assert trace.nus[0] == pytest.approx(3.0, rel=1e-15)
+        rows = np.array(json.loads(out)["steps"])
+        assert_allclose(rows[:, :2], np.column_stack([trace.nus, trace.entropies]), rtol=1e-15)
+
     def test_runs_from_every_state_that_validate_state_accepts(self):
         # Rounding the entries of this squeezed near-vacuum state puts the
         # root of its error-free determinant at 0.9999999988, below 1 -

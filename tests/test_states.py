@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gtokit import states
 from gtokit.states import (
     GaussianState,
     HamiltonianSpec,
@@ -21,7 +23,7 @@ from gtokit.states import (
     thermal_state,
     validate_state,
 )
-from gtokit.symplectic import STRUCTURAL_TOL, _is_symmetric, random_symplectic
+from gtokit.symplectic import STRUCTURAL_TOL, _is_symmetric, random_symplectic, williamson
 
 LN3 = 1.0986122886681098
 VALIDATION_TOLS = (1e-12, 1e-9, 1e-8, 1e-6)
@@ -194,6 +196,19 @@ class TestThermalState:
         with pytest.raises(ValueError):
             HamiltonianSpec(H=np.diag([1.0, -0.1]))
 
+    def test_stores_a_finite_hamiltonian_near_the_largest_double(self):
+        # 0.5 * (H + H^T) stored inf for an entry of 1e308.
+        ham = HamiltonianSpec(H=np.diag([1e308, 1e-300]))
+        assert np.array_equal(ham.H, np.diag([1e308, 1e-300]))
+        assert normal_mode_spectrum(ham).frequencies == pytest.approx([1e4], rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_center(self, bad):
+        # HamiltonianSpec(eye(2), center=[nan, 0]) used to build, and
+        # thermal_state then blamed first_moments.
+        with pytest.raises(ValueError, match="^center must be finite"):
+            HamiltonianSpec(H=np.eye(2), center=[bad, 0.0])
+
 
 class TestNormalModeSpectrum:
     def test_fully_degenerate(self):
@@ -222,6 +237,67 @@ class TestNormalModeSpectrum:
     def test_per_mode_frequencies(self):
         spec = normal_mode_spectrum(HamiltonianSpec(H=np.diag([3.0, 3.0, 1.0, 1.0])))
         assert_allclose(spec.frequencies, [3.0, 1.0])
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    """Counts of the ``np.linalg`` Cholesky and Hermitian eigensolver calls from here on."""
+    counts = collections.Counter()
+    for name in ("cholesky", "eigh", "eigvalsh"):
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def gibbs_state_counts(lapack, n):
+    """LAPACK calls of building an n-mode HamiltonianSpec, then its spectrum and a Gibbs state."""
+    H = random_symplectic(n, 7) @ np.diag(np.repeat(np.linspace(1.0, 2.0, n), 2)) @ random_symplectic(n, 7).T
+    lapack.clear()
+    ham = HamiltonianSpec(H)
+    normal_mode_spectrum(ham)
+    thermal_state(1.0, ham)
+    return dict(lapack)
+
+
+class TestOneFactorisationPerFact:
+    """Each multimode matrix is factorised once: the Cholesky factor that proves
+    it positive definite is the one the spectrum is computed from."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_hamiltonian_spectrum_and_gibbs_state(self, lapack, n):
+        assert gibbs_state_counts(lapack, n) == {"cholesky": 1, "eigh": 1}
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_validate_state(self, lapack, n):
+        state = thermal_state(0.7, HamiltonianSpec(np.eye(2 * n)))
+        lapack.clear()
+        assert validate_state(state)
+        assert lapack == {"cholesky": 1, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_williamson(self, lapack, n):
+        P = 2.0 * np.eye(2 * n)
+        lapack.clear()
+        williamson(P)
+        assert lapack == {"cholesky": 1, "eigh": 1}
+
+    def test_a_planted_recomputation_is_counted(self, lapack, monkeypatch):
+        # Negative control: thermal_state recomputing the spectrum shows.
+        monkeypatch.setattr(states, "normal_mode_spectrum", lambda ham: states._frequency_spectrum(williamson(ham.H)))
+        assert gibbs_state_counts(lapack, 3) == {"cholesky": 2, "eigh": 2}
+
+    def test_an_indefinite_matrix_is_refused_by_the_cholesky_alone(self, lapack):
+        P = np.diag([1.0, -0.1, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^H must be positive definite$"):
+            HamiltonianSpec(P)
+        with pytest.raises(ValueError, match="^P must be positive definite$"):
+            williamson(P)
+        assert not validate_state(GaussianState(2, np.zeros(4), P))
+        assert lapack == {"cholesky": 3}
 
 
 class TestSingleModeDecompose:
